@@ -4,7 +4,8 @@ A rotation system lists, per vertex, the cyclic counterclockwise order of
 its darts.  Darts come in twin pairs d, d^1 (the two halves of one edge).
 Faces are orbits of the successor map d -> rotation-next of twin(d); the
 orbit count plugs into Euler's formula, which is the whole planarity
-certificate used here.  No geometry anywhere.
+certificate used here.  No geometry anywhere.  The union-find that splits
+a graph into connected components lives here too.
 """
 
 from __future__ import annotations
@@ -38,6 +39,25 @@ def trace_faces(rotations) -> list:
     return faces
 
 
+def component_roots(n, pairs) -> list:
+    """Union-find over vertices 0..n-1 joined by the (u, v) `pairs`.
+
+    Returns one representative per vertex; two vertices share it exactly
+    when they are connected.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    return [find(v) for v in range(n)]
+
+
 def is_planar_embedding(rotations) -> bool:
     """Does V - E + F = 2 hold on every connected component?
 
@@ -45,33 +65,23 @@ def is_planar_embedding(rotations) -> bool:
     rotation system (duplicate or unmatched darts).
     """
     faces = trace_faces(rotations)
-    nv = len(rotations)
-    parent = list(range(nv))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     vertex_of = {}
     for v, rot in enumerate(rotations):
         for d in rot:
             vertex_of[d] = v
-    for d, v in vertex_of.items():
-        u = vertex_of[d ^ 1]
-        parent[find(u)] = find(v)
+    root = component_roots(
+        len(rotations), ((v, vertex_of[d ^ 1]) for d, v in vertex_of.items()))
 
     verts = {}
     edges = {}
     fcount = {}
-    for v in range(nv):
-        if rotations[v]:
-            r = find(v)
+    for v, rot in enumerate(rotations):
+        if rot:
+            r = root[v]
             verts[r] = verts.get(r, 0) + 1
-            edges[r] = edges.get(r, 0) + len(rotations[v])
+            edges[r] = edges.get(r, 0) + len(rot)
     for face in faces:
-        r = find(vertex_of[face[0]])
+        r = root[vertex_of[face[0]]]
         fcount[r] = fcount.get(r, 0) + 1
     return all(verts[r] - edges[r] // 2 + fcount.get(r, 0) == 2
                for r in verts)

@@ -24,16 +24,5 @@ def rref(vectors) -> dict[int, int]:
     return rows
 
 
-def reduce_vector(rows: dict[int, int], v: int) -> int:
-    for p, r in rows.items():
-        if (v >> p) & 1:
-            v ^= r
-    return v
-
-
-def in_span(rows: dict[int, int], v: int) -> bool:
-    return reduce_vector(rows, v) == 0
-
-
 def parity(x: int) -> int:
     return x.bit_count() & 1

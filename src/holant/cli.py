@@ -24,19 +24,17 @@ import json
 import random
 import sys
 
-from .classes import class_report, is_affine, is_product
-from .dichotomy import classify_csp, classify_pl_csp, classify_pl_csp2_symmetric
-from .fkt import builtin_fragment, count_pm_fkt, evaluate_matchgate_grid, \
-    kasteleyn_orient
-from .grids import CspInstance, SignatureGrid, brute_force_csp, \
-    brute_force_holant, csp_to_grid, eval_affine_csp, eval_product_csp, \
-    gate_signature
+from .classes import class_report
+from .dichotomy import classify_csp, classify_pl_csp, \
+    classify_pl_csp2_symmetric, evaluate
+from .fkt import count_pm_fkt, kasteleyn_orient
+from .grids import SignatureGrid, gate_signature
 from .scalar import MINUS_ONE, ONE, ZERO, I, Scalar, scalar_to_json
 from .serialize import SchemaError, parse_csp, parse_grid, parse_graph, \
     parse_registry, parse_signature, parse_transform, registry_hash, \
     signature_to_json, transform_to_json, verdict_to_json
 from .signatures import Signature
-from .transforms import H2, apply_matrix, check_holant_invariance, transform
+from .transforms import apply_matrix, check_holant_invariance, transform
 
 
 def _load_document(path):
@@ -100,87 +98,6 @@ def cmd_classify_csp2(args):
 # -- evaluation -------------------------------------------------------------------
 
 
-def _csp_fkt_value(inst: CspInstance) -> Scalar:
-    """Planar matchgate route: equalities against their Hadamard images.
-
-    The instance's grid form puts an equality per variable on the left and
-    the constraints on the right.  Rewriting left signatures by H2 and
-    right ones by its inverse preserves the value and lands both sides in
-    the built-in realization library whenever the constraints are Hadamard
-    images of realizable matchgates.
-    """
-    grid = csp_to_grid(inst)
-    if not grid.is_planar():
-        raise ValueError("instance grid is not planar as constructed")
-    rewritten = grid.map_sides(
-        lambda f: transform(f, H2, "row"),
-        lambda f: transform(f, H2, "column"))
-    frags = []
-    for k, v in enumerate(rewritten.vertices):
-        frag = builtin_fragment(v.signature)
-        if frag is None:
-            raise ValueError(
-                f"vertex {k}: no built-in realization after the basis change")
-        frags.append(frag)
-    return evaluate_matchgate_grid(rewritten, frags)
-
-
-def _csp_fkt_applicable(inst: CspInstance) -> bool:
-    grid = csp_to_grid(inst)
-    if not grid.is_planar():
-        return False
-    try:
-        rewritten = grid.map_sides(
-            lambda f: transform(f, H2, "row"),
-            lambda f: transform(f, H2, "column"))
-    except ValueError:
-        return False
-    return all(builtin_fragment(v.signature) is not None
-               for v in rewritten.vertices)
-
-
-def _eval_csp(inst: CspInstance, mode: str):
-    if mode == "auto":
-        if all(is_product(sig) for sig, _ in inst.constraints):
-            mode = "product"
-        elif all(is_affine(sig) for sig, _ in inst.constraints):
-            mode = "affine"
-        elif _csp_fkt_applicable(inst):
-            mode = "fkt"
-        else:
-            mode = "brute"
-    if mode == "product":
-        return mode, eval_product_csp(inst)
-    if mode == "affine":
-        return mode, eval_affine_csp(inst)
-    if mode == "fkt":
-        return mode, _csp_fkt_value(inst)
-    return mode, brute_force_csp(inst)
-
-
-def _grid_fkt_value(grid: SignatureGrid) -> Scalar:
-    frags = []
-    for k, v in enumerate(grid.vertices):
-        frag = builtin_fragment(v.signature)
-        if frag is None:
-            raise ValueError(f"vertex {k}: no built-in realization")
-        frags.append(frag)
-    return evaluate_matchgate_grid(grid, frags)
-
-
-def _eval_grid(grid: SignatureGrid, mode: str):
-    if mode in ("product", "affine"):
-        raise ValueError(f"mode {mode!r} applies to csp documents only")
-    if mode == "auto":
-        direct = (not grid.dangling and grid.is_planar()
-                  and all(builtin_fragment(v.signature) is not None
-                          for v in grid.vertices))
-        mode = "fkt" if direct else "brute"
-    if mode == "fkt":
-        return mode, _grid_fkt_value(grid)
-    return mode, brute_force_holant(grid)
-
-
 def cmd_eval(args):
     registry, reg_hash = _load_registry(args)
     doc = _load_document(args.input)
@@ -188,13 +105,12 @@ def cmd_eval(args):
     if not isinstance(doc, dict):
         raise SchemaError("", "expected a csp or grid object")
     if "vars" in doc:
-        kind = "csp"
-        mode, value = _eval_csp(parse_csp(doc, "csp", registry), args.mode)
+        kind, problem = "csp", parse_csp(doc, "csp", registry)
     elif "vertices" in doc:
-        kind = "grid"
-        mode, value = _eval_grid(parse_grid(doc, "grid", registry), args.mode)
+        kind, problem = "grid", parse_grid(doc, "grid", registry)
     else:
         raise SchemaError("", "expected 'vars' (csp) or 'vertices' (grid)")
+    mode, value = evaluate(problem, args.mode)
     return {"input": kind, "mode": mode, "value": scalar_to_json(value)}
 
 

@@ -19,6 +19,10 @@ family that failed, the first failing signature and what broke.  That makes a
 "hard" verdict auditable and lets callers pick an evaluator when several
 tractable families apply.  Hardness itself is not certified constructively;
 the label records that no tractable containment holds.
+
+:func:`evaluate` is the planner built on those verdicts: it computes the
+value of a #CSP or a signature grid by the strategy the classification
+promises.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ from .classes import (
     is_twisted_affine,
     is_twisted_hadamard_matchgate,
 )
+from .fkt import builtin_fragment, evaluate_matchgate_grid
+from .grids import CspInstance, brute_force_csp, brute_force_holant, \
+    csp_to_grid, eval_affine_csp, eval_product_csp
 from .signatures import Signature
+from .transforms import H2, transform
 
 PTIME = "PTime"
 PLANAR_PTIME_ONLY = "PlanarPTimeOnly"
@@ -166,3 +174,73 @@ def classify_pl_csp2_symmetric(signatures) -> DichotomyVerdict:
          "hadamard_matchgate", "twisted_hadamard_matchgate"))
     category = PTIME if holding else SHARP_P_HARD
     return DichotomyVerdict(category, holding, witnesses)
+
+
+# -- evaluation planning ----------------------------------------------------------
+
+
+def _fkt_route(problem):
+    """The grid the FKT route evaluates, with one built-in fragment per vertex.
+
+    A csp goes through its bipartite grid form, rewritten by H2 on the
+    equality side and by its inverse on the constraint side; that keeps
+    the value and lands both sides in the realization library whenever
+    the constraints are Hadamard images of realizable matchgates.  A grid
+    is taken as it is.  Returns ((grid, fragments), None), or (None, why
+    the route does not apply).
+    """
+    grid, where = problem, ""
+    if isinstance(problem, CspInstance):
+        grid, where = csp_to_grid(problem), " after the basis change"
+        if not grid.is_planar():
+            return None, "instance grid is not planar as constructed"
+        try:
+            grid = grid.map_sides(lambda f: transform(f, H2, "row"),
+                                  lambda f: transform(f, H2, "column"))
+        except ValueError as e:
+            return None, str(e)
+    frags = []
+    for k, v in enumerate(grid.vertices):
+        frag = builtin_fragment(v.signature)
+        if frag is None:
+            return None, f"vertex {k}: no built-in realization{where}"
+        frags.append(frag)
+    return (grid, frags), None
+
+
+def evaluate(problem, mode: str = "auto"):
+    """Value of a CspInstance or a SignatureGrid, and the strategy used.
+
+    ``mode`` is ``"product"``, ``"affine"`` (csp only), ``"fkt"``,
+    ``"brute"`` or ``"auto"``; the result is ``(strategy, value)``.  Auto
+    mode on a csp classifies the set of distinct constraint signatures
+    once and takes the product evaluator if that family holds, else the
+    affine one; otherwise it takes the FKT route when the instance grid is
+    planar and every transformed signature has a built-in realization,
+    and brute force last.  Auto mode on a grid takes the FKT route when
+    the grid is closed, planar and fully realized, and brute force
+    otherwise.  A forced mode that does not apply raises ValueError.
+    """
+    csp = isinstance(problem, CspInstance)
+    if mode == "auto":
+        if csp:
+            verdict = classify_csp(dict.fromkeys(
+                sig for sig, _ in problem.constraints))
+            if verdict.holds("product"):
+                mode = "product"
+            elif verdict.holds("affine"):
+                mode = "affine"
+        elif problem.dangling or not problem.is_planar():
+            mode = "brute"
+    if mode in ("product", "affine"):
+        if not csp:
+            raise ValueError(f"mode {mode!r} applies to csp documents only")
+        evaluator = eval_product_csp if mode == "product" else eval_affine_csp
+        return mode, evaluator(problem)
+    if mode in ("auto", "fkt"):
+        route, why = _fkt_route(problem)
+        if route is not None:
+            return "fkt", evaluate_matchgate_grid(*route)
+        if mode == "fkt":
+            raise ValueError(why)
+    return "brute", brute_force_csp(problem) if csp else brute_force_holant(problem)

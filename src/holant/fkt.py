@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._embedding import is_planar_embedding, trace_faces
+from ._embedding import component_roots, is_planar_embedding, trace_faces
 from .scalar import ONE, ZERO, Scalar, parse_scalar, scalar_to_json
 from .signatures import Signature, _coerce_scalar
 
@@ -28,6 +28,25 @@ from .signatures import Signature, _coerce_scalar
 ENUM_CAP = 20
 #: fragment_signature refuses beyond this many internal vertices.
 FRAGMENT_CAP = 20
+
+
+def _checked_edges(num_vertices, edges):
+    """Vertex count and (u, v, w) triples, checked: no missing endpoint,
+    no self-loop, no zero weight."""
+    n = int(num_vertices)
+    if n < 0:
+        raise ValueError("negative vertex count")
+    es = []
+    for u, v, w in edges:
+        if not 0 <= u < n or not 0 <= v < n:
+            raise ValueError(f"edge ({u}, {v}) references a missing vertex")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        w = _coerce_scalar(w)
+        if not w:
+            raise ValueError(f"edge ({u}, {v}) has weight zero")
+        es.append((u, v, w))
+    return n, tuple(es)
 
 
 class PlanarGraph:
@@ -43,21 +62,9 @@ class PlanarGraph:
     __slots__ = ("num_vertices", "edges", "rotation")
 
     def __init__(self, num_vertices, edges, rotation):
-        n = int(num_vertices)
-        if n < 0:
-            raise ValueError("negative vertex count")
-        es = []
-        for u, v, w in edges:
-            if not 0 <= u < n or not 0 <= v < n:
-                raise ValueError(f"edge ({u}, {v}) references a missing vertex")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            w = _coerce_scalar(w)
-            if not w:
-                raise ValueError(f"edge ({u}, {v}) has weight zero")
-            es.append((u, v, w))
+        n, es = _checked_edges(num_vertices, edges)
         self.num_vertices = n
-        self.edges = tuple(es)
+        self.edges = es
         rot = tuple(tuple(r) for r in rotation)
         if len(rot) != n:
             raise ValueError("one rotation per vertex required")
@@ -144,18 +151,20 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
     """
     n = g.num_vertices
     m = len(g.edges)
-    # connectivity via union-find
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in g.edges:
-        parent[find(u)] = find(v)
-    if n and len({find(v) for v in range(n)}) != 1:
+    # BFS spanning tree over edges; a vertex it misses means disconnected
+    tree = [False] * m
+    seen_v = [False] * n
+    if n:
+        seen_v[0] = True
+        queue = [0]
+        adj = g.adjacency()
+        for u in queue:
+            for v, _, e in adj[u]:
+                if not seen_v[v]:
+                    seen_v[v] = True
+                    tree[e] = True
+                    queue.append(v)
+    if not all(seen_v):
         raise ValueError("kasteleyn_orient needs a connected graph")
 
     faces = trace_faces(g._dart_rotations())
@@ -164,26 +173,8 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
         for d in face:
             face_of[d] = fi
 
-    # BFS spanning tree over edges
-    tree = [False] * m
-    seen_v = [False] * (n or 1)
-    if n:
-        seen_v[0] = True
-        queue = [0]
-        adj = g.adjacency()
-        while queue:
-            u = queue.pop(0)
-            for v, _, e in adj[u]:
-                if not seen_v[v]:
-                    seen_v[v] = True
-                    tree[e] = True
-                    queue.append(v)
-
     orient = [0] * m
-    fixed = [False] * m
-    for e in range(m):
-        if tree[e]:
-            fixed[e] = True
+    fixed = list(tree)
 
     # dual tree on the non-tree edges, rooted at the outer face
     dual = [[] for _ in faces]
@@ -341,22 +332,14 @@ def _count_component(g: PlanarGraph) -> Scalar:
 
 
 def _components(g: PlanarGraph):
-    parent = list(range(g.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in g.edges:
-        parent[find(u)] = find(v)
+    root = component_roots(g.num_vertices, ((u, v) for u, v, _ in g.edges))
     groups = {}
-    for v in range(g.num_vertices):
-        groups.setdefault(find(v), []).append(v)
-    for verts in groups.values():
+    for v, r in enumerate(root):
+        groups.setdefault(r, ([], []))[0].append(v)
+    for e, (u, _, _) in enumerate(g.edges):
+        groups[root[u]][1].append(e)
+    for verts, edge_ids in groups.values():
         index = {v: i for i, v in enumerate(verts)}
-        edge_ids = [e for e, (u, v, _) in enumerate(g.edges) if find(u) == find(verts[0])]
         eindex = {e: i for i, e in enumerate(edge_ids)}
         edges = [(index[g.edges[e][0]], index[g.edges[e][1]], g.edges[e][2])
                  for e in edge_ids]
@@ -397,21 +380,9 @@ class MatchgateFragment:
     __slots__ = ("num_vertices", "edges", "rotation", "dangling")
 
     def __init__(self, num_vertices, edges, rotation, dangling):
-        n = int(num_vertices)
-        if n < 0:
-            raise ValueError("negative vertex count")
-        es = []
-        for u, v, w in edges:
-            if not 0 <= u < n or not 0 <= v < n:
-                raise ValueError(f"edge ({u}, {v}) references a missing vertex")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            w = _coerce_scalar(w)
-            if not w:
-                raise ValueError(f"edge ({u}, {v}) has weight zero")
-            es.append((u, v, w))
+        n, es = _checked_edges(num_vertices, edges)
         self.num_vertices = n
-        self.edges = tuple(es)
+        self.edges = es
         self.dangling = tuple(dangling)
         k = len(self.dangling)
         m = len(es)

@@ -151,12 +151,49 @@ class SignatureGrid:
                 f"{len(self.dangling)} dangling)")
 
 
-def _vertex_tables(grid: SignatureGrid, edge_bit):
-    tables = []
-    for v in grid.vertices:
-        positions = tuple(edge_bit[e] for e in v.edges)
-        tables.append((positions, v.signature.values))
-    return tables
+def _sum_products(num_bits, tables, k=0):
+    """The enumeration kernel behind every brute-force sum.
+
+    Sums, over all assignments a of `num_bits` bits, the product of
+    values[index] across `tables`, where each (positions, values) entry
+    reads its index from the bits of a at `positions`, first position
+    most significant.  Returns the 2^k sums split by the low k bits of a.
+    """
+    out = [ZERO] * (1 << k)
+    low = (1 << k) - 1
+    for a in range(1 << num_bits):
+        prod = ONE
+        for positions, values in tables:
+            idx = 0
+            for p in positions:
+                idx = (idx << 1) | ((a >> p) & 1)
+            val = values[idx]
+            if not val:
+                prod = None
+                break
+            prod = prod * val
+        if prod is not None:
+            out[a & low] = out[a & low] + prod
+    return out
+
+
+def _grid_sums(grid: SignatureGrid):
+    """Kernel sums over all edge assignments, split by the dangling edges.
+
+    Refuses beyond EDGE_CAP edges.  Dangling edge j takes bit k-1-j, so
+    slot y pins it to bit j of y counted from the top (x1 first);
+    internal edges take the higher bits.
+    """
+    m = len(grid.edge_ids)
+    if m > EDGE_CAP:
+        raise ValueError(f"{m} edges exceeds the brute-force cap of {EDGE_CAP}")
+    dang = set(grid.dangling)
+    order = list(reversed(grid.dangling)) + [
+        e for e in grid.edge_ids if e not in dang]
+    bit = {e: j for j, e in enumerate(order)}
+    tables = [(tuple(bit[e] for e in v.edges), v.signature.values)
+              for v in grid.vertices]
+    return _sum_products(len(order), tables, len(dang))
 
 
 def brute_force_holant(grid: SignatureGrid) -> Scalar:
@@ -168,27 +205,7 @@ def brute_force_holant(grid: SignatureGrid) -> Scalar:
     """
     if grid.dangling:
         raise ValueError("grid has dangling edges; use gate_signature")
-    edges = grid.edge_ids
-    m = len(edges)
-    if m > EDGE_CAP:
-        raise ValueError(f"{m} edges exceeds the brute-force cap of {EDGE_CAP}")
-    edge_bit = {e: j for j, e in enumerate(edges)}
-    tables = _vertex_tables(grid, edge_bit)
-    total = ZERO
-    for a in range(1 << m):
-        prod = ONE
-        for positions, values in tables:
-            idx = 0
-            for p in positions:
-                idx = (idx << 1) | ((a >> p) & 1)
-            val = values[idx]
-            if not val:
-                prod = None
-                break
-            prod = prod * val
-        if prod is not None:
-            total = total + prod
-    return total
+    return _grid_sums(grid)[0]
 
 
 def gate_signature(grid: SignatureGrid) -> Signature:
@@ -200,34 +217,7 @@ def gate_signature(grid: SignatureGrid) -> Signature:
     k = len(grid.dangling)
     if k > ARITY_CAP:
         raise ValueError(f"{k} dangling edges exceeds the arity cap")
-    edges = grid.edge_ids
-    if len(edges) > EDGE_CAP:
-        raise ValueError(
-            f"{len(edges)} edges exceeds the brute-force cap of {EDGE_CAP}")
-    internal = [e for e in edges if e not in set(grid.dangling)]
-    ordered = list(grid.dangling) + internal
-    edge_bit = {e: j for j, e in enumerate(ordered)}
-    tables = _vertex_tables(grid, edge_bit)
-    m = len(ordered)
-    out = [ZERO] * (1 << k)
-    for a in range(1 << m):
-        prod = ONE
-        for positions, values in tables:
-            idx = 0
-            for p in positions:
-                idx = (idx << 1) | ((a >> p) & 1)
-            val = values[idx]
-            if not val:
-                prod = None
-                break
-            prod = prod * val
-        if prod is not None:
-            # dangling edge j sits at bit j of a; x1 is the MSB of y
-            y = 0
-            for j in range(k):
-                y |= ((a >> j) & 1) << (k - 1 - j)
-            out[y] = out[y] + prod
-    return Signature(out)
+    return Signature(_grid_sums(grid))
 
 
 def two_stretch(grid: SignatureGrid) -> SignatureGrid:
@@ -288,21 +278,8 @@ def brute_force_csp(instance: CspInstance) -> Scalar:
     n = instance.num_vars
     if n > VAR_CAP:
         raise ValueError(f"{n} variables exceeds the brute-force cap of {VAR_CAP}")
-    total = ZERO
-    for a in range(1 << n):
-        prod = ONE
-        for sig, on in instance.constraints:
-            idx = 0
-            for v in on:
-                idx = (idx << 1) | ((a >> v) & 1)
-            val = sig[idx]
-            if not val:
-                prod = None
-                break
-            prod = prod * val
-        if prod is not None:
-            total = total + prod
-    return total
+    return _sum_products(n, [(on, sig.values)
+                             for sig, on in instance.constraints])[0]
 
 
 def csp_to_grid(instance: CspInstance) -> SignatureGrid:
@@ -400,8 +377,11 @@ def eval_product_csp(instance: CspInstance) -> Scalar:
         weights[ru] = (a0 * b0, a1 * b1)
 
     zero_instance = False
+    analyses = {}  # one membership test per distinct signature
     for sig, on in instance.constraints:
-        analysis = is_product(sig)
+        analysis = analyses.get(sig)
+        if analysis is None:
+            analysis = analyses[sig] = is_product(sig)
         if not analysis:
             raise ValueError(
                 f"constraint on {on} is outside the product family: "
@@ -535,8 +515,11 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
     scale = ONE
     rows = []  # (mask, rhs) over variable bits 1 << v
     quad = {}
+    analyses = {}  # one membership test per distinct signature
     for sig, on in instance.constraints:
-        analysis = is_affine(sig)
+        analysis = analyses.get(sig)
+        if analysis is None:
+            analysis = analyses[sig] = is_affine(sig)
         if not analysis:
             raise ValueError(
                 f"constraint on {on} is outside the affine family: "

@@ -138,9 +138,39 @@ def test_eval_rejects_out_of_family_modes(capsys, tmp_path):
         "constraints": [{"sig": {"symmetric": [0, 1, 1]}, "on": [0, 1]}]})
     code, out = run(capsys, "eval", orr, "--mode", "affine")
     assert code == 1
-    assert out["error"]["kind"] == "domain"
+    assert out["error"] == {
+        "kind": "domain",
+        "message": "constraint on (0, 1) is outside the affine family: "
+                   "support is not an affine subspace"}
     code, out = run(capsys, "eval", orr, "--mode", "product")
     assert code == 1
+    assert out["error"] == {
+        "kind": "domain",
+        "message": "constraint on (0, 1) is outside the product family: "
+                   "{'positions': (1, 2), 'reason': 'factor support is not "
+                   "an antipodal pair', 'support': (1, 2, 3)}"}
+    code, out = run(capsys, "eval", orr, "--mode", "fkt")
+    assert code == 1
+    assert out["error"] == {
+        "kind": "domain",
+        "message": "vertex 2: no built-in realization after the basis change"}
+
+
+def test_eval_fkt_mode_rejects_a_non_planar_instance_grid(capsys, tmp_path):
+    eq2 = {"symmetric": [1, 0, 1]}
+    scopes = ([0, 1], [1, 2], [0, 2], [0, 1], [1, 2], [2, 0])
+    doc = put(tmp_path, "c.json", {
+        "vars": 3,
+        "constraints": [{"sig": eq2, "on": on} for on in scopes]
+        + [{"sig": {"symmetric": [0, 1, 1, 1]}, "on": [0, 1, 2]}]})
+    code, out = run(capsys, "eval", doc, "--mode", "fkt")
+    assert code == 1
+    assert out["error"] == {
+        "kind": "domain",
+        "message": "instance grid is not planar as constructed"}
+    code, out = run(capsys, "eval", doc)
+    assert code == 0
+    assert out == {"input": "csp", "mode": "brute", "value": "1"}
 
 
 def test_eval_grid_fkt_and_brute_agree(capsys, tmp_path):
@@ -152,9 +182,12 @@ def test_eval_grid_fkt_and_brute_agree(capsys, tmp_path):
     assert out == {"input": "grid", "mode": "fkt", "value": "2"}
     code, out = run(capsys, "eval", doc, "--mode", "brute")
     assert out["value"] == "2"
-    code, out = run(capsys, "eval", doc, "--mode", "product")
-    assert code == 1
-    assert "csp documents only" in out["error"]["message"]
+    for mode in ("product", "affine"):
+        code, out = run(capsys, "eval", doc, "--mode", mode)
+        assert code == 1
+        assert out["error"] == {
+            "kind": "domain",
+            "message": f"mode {mode!r} applies to csp documents only"}
 
 
 def test_eval_grid_without_realizations_goes_brute(capsys, tmp_path):
@@ -166,15 +199,23 @@ def test_eval_grid_without_realizations_goes_brute(capsys, tmp_path):
     assert out == {"input": "grid", "mode": "brute", "value": "4"}
     code, out = run(capsys, "eval", doc, "--mode", "fkt")
     assert code == 1
-    assert "no built-in realization" in out["error"]["message"]
+    assert out["error"] == {"kind": "domain",
+                            "message": "vertex 0: no built-in realization"}
 
 
 def test_eval_open_grid_is_a_domain_error(capsys, tmp_path):
     grid = SignatureGrid([(equality(3), (0, 1, 2))], dangling=(0, 1, 2))
     doc = put(tmp_path, "g.json", grid_to_json(grid))
-    code, out = run(capsys, "eval", doc)
+    for mode in ("auto", "brute"):
+        code, out = run(capsys, "eval", doc, "--mode", mode)
+        assert code == 1
+        assert out["error"] == {
+            "kind": "domain",
+            "message": "grid has dangling edges; use gate_signature"}
+    code, out = run(capsys, "eval", doc, "--mode", "fkt")
     assert code == 1
-    assert out["error"]["kind"] == "domain"
+    assert out["error"] == {"kind": "domain",
+                            "message": "vertex 0: no built-in realization"}
 
 
 # -- signature tools ----------------------------------------------------------------

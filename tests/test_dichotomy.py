@@ -10,16 +10,19 @@ from _util import (
     realizable_signature,
 )
 from holant.classes import is_affine, parity_of
+from holant import dichotomy, grids
 from holant.dichotomy import (
     DichotomyVerdict,
     classify_csp,
     classify_pl_csp,
     classify_pl_csp2_symmetric,
+    evaluate,
 )
 from holant.fkt import builtin_fragment, evaluate_matchgate_grid
-from holant.grids import SignatureGrid, brute_force_csp, brute_force_holant
+from holant.grids import CspInstance, SignatureGrid, brute_force_csp, \
+    brute_force_holant
 from holant.scalar import I, Scalar, ZETA8
-from holant.signatures import Signature, equality, unary
+from holant.signatures import Signature, equality, exact_one, unary
 from holant.transforms import H2, apply_matrix, scale_by_weight, transform
 
 S = Signature.from_symmetric
@@ -235,3 +238,44 @@ def test_parity_images_of_product_members_are_affine():
         hits += 1
         assert is_affine(f)
     assert hits > 15
+
+
+# -- the evaluation planner ----------------------------------------------------------
+
+
+def test_evaluate_tests_each_distinct_signature_at_most_twice(monkeypatch):
+    calls = []
+    real = dichotomy.is_product
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(dichotomy, "is_product", counted)
+    monkeypatch.setitem(dichotomy._FAMILY_TESTS, "product", counted)
+    monkeypatch.setattr(grids, "is_product", counted)
+    f = S([1, 0, 3])  # product, not affine
+    inst = CspInstance(12, tuple((f, (k % 11, k % 11 + 1)) for k in range(60)))
+    # every variable is forced equal: all zero or all one
+    assert evaluate(inst) == ("product", Scalar.from_int(1 + 3 ** 60))
+    assert 1 <= len(calls) <= 2
+
+
+_EVAL_POOLS = {
+    "product": rand_product_signature,
+    "affine": rand_affine_signature,
+    "h2_exact_one": lambda rng, k: apply_matrix(exact_one(k), H2),
+    "or": lambda rng, k: S([0] + [1] * k),
+}
+
+
+def test_evaluate_auto_agrees_with_brute_force_on_every_route():
+    rng = random.Random(37)
+    routes = set()
+    for _ in range(60):
+        pool = _EVAL_POOLS[rng.choice(sorted(_EVAL_POOLS))]
+        inst = rand_csp(rng, pool, max_vars=6, max_arity=3)
+        mode, value = evaluate(inst, "auto")
+        assert value == brute_force_csp(inst), (mode, inst)
+        routes.add(mode)
+    assert routes == {"product", "affine", "fkt", "brute"}
