@@ -1,12 +1,13 @@
 """Planar perfect-matching counting and matchgate-realized grid evaluation.
 
 The pipeline is the classical one: orient the edges of an embedded planar
-graph so that every bounded face has an odd number of clockwise edges,
-then the Pfaffian of the signed adjacency matrix counts perfect matchings
-up to one global sign, which is resolved against a single explicitly
-found matching.  Everything stays in the exact scalar field, so the usual
-absolute-value trick for the sign is unavailable and the combinatorial
-calibration is load-bearing, not a convenience.
+graph so that every bounded face has an odd number of clockwise edges;
+then every perfect matching enters the Pfaffian of the signed adjacency
+matrix with one common sign.  Everything stays in the exact scalar field,
+so the usual absolute-value trick for that sign is unavailable.  Instead
+the same oriented matrix with unit weights has Pfaffian sign * #matchings,
+an exact integer whose sign is the global one, and which is zero exactly
+when no perfect matching exists.
 
 Matchgate fragments are embedded weighted graphs with ordered dangling
 stubs; their signatures are weighted matching counts with dangling edges
@@ -256,79 +257,37 @@ def pfaffian(matrix) -> Scalar:
             if a[k][j]:
                 c = a[k][j] * inv
                 for t in range(n):
-                    a[j][t] = a[j][t] - c * a[k + 1][t]
+                    if a[k + 1][t]:
+                        a[j][t] = a[j][t] - c * a[k + 1][t]
                 for t in range(n):
-                    a[t][j] = a[t][j] - c * a[t][k + 1]
+                    if a[t][k + 1]:
+                        a[t][j] = a[t][j] - c * a[t][k + 1]
     return result if sign == 1 else -result
 
 
-def _find_matching(adj, mask):
-    """One perfect matching on the alive mask as (u, v, edge) triples.
-
-    Backtracking on the lowest alive vertex; None when no matching
-    exists.
-    """
-    if mask == 0:
-        return []
-    u = (mask & -mask).bit_length() - 1
-    rest = mask & ~(1 << u)
-    for v, _, e in adj[u]:
-        if rest & (1 << v):
-            sub = _find_matching(adj, rest & ~(1 << v))
-            if sub is not None:
-                return [(u, v, e)] + sub
-    return None
-
-
-def _permutation_sign(seq) -> int:
-    n = len(seq)
-    seen = [False] * n
-    rank = {x: i for i, x in enumerate(sorted(seq))}
-    perm = [rank[x] for x in seq]
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _count_component(g: PlanarGraph) -> Scalar:
-    """FKT count for one connected graph."""
+    """FKT count for one connected graph; the unit-weight Pfaffian,
+    sign * #matchings, fixes the sign of the weighted one."""
     n = g.num_vertices
     if n % 2:
         return ZERO
     if n == 0:
         return ONE
-    adj = g.adjacency()
-    calibration = _find_matching(adj, (1 << n) - 1)
-    if calibration is None:
-        return ZERO
     orient = kasteleyn_orient(g)
+    unit = [[ZERO] * n for _ in range(n)]
     mat = [[ZERO] * n for _ in range(n)]
     for e, (u, v, w) in enumerate(g.edges):
         if orient[e]:
             u, v = v, u
+        unit[u][v] = unit[u][v] + ONE
+        unit[v][u] = unit[v][u] - ONE
         mat[u][v] = mat[u][v] + w
         mat[v][u] = mat[v][u] - w
-    pf = pfaffian(mat)
-    # the sign every matching carries in the Pfaffian expansion
-    pairs = sorted((u, v) if u < v else (v, u) for u, v, _ in calibration)
-    flat = [x for pair in pairs for x in pair]
-    sign = _permutation_sign(flat)
-    for (u, v, e) in calibration:
-        hi = max(u, v)
-        head = g.edges[e][1] if orient[e] == 0 else g.edges[e][0]
-        if head != hi:
-            sign = -sign
-    return pf if sign == 1 else -pf
+    count = pfaffian(unit)
+    if not count:
+        return ZERO
+    pf = count if all(w == ONE for _, _, w in g.edges) else pfaffian(mat)
+    return pf if count.as_fraction() > 0 else -pf
 
 
 def _components(g: PlanarGraph):
@@ -666,8 +625,9 @@ def builtin_fragment(f: Signature):
     """A realization of f from the builtin library, or None.
 
     Covers the library entries and their nonzero scalar multiples, plus
-    the weighted families a*[y=0..0], b*[y=1..1] at any arity and
-    [a,0,b] at arity two.
+    the weighted families a*[y=0..0] up to arity 9, b*[y=1..1] at any
+    arity and [a,0,b] at arity two.  Every fragment it returns fits
+    within FRAGMENT_CAP vertices, so evaluate_matchgate_grid can verify it.
     """
     if f.is_zero:
         return None
@@ -685,7 +645,9 @@ def builtin_fragment(f: Signature):
     support = f.support()
     full = (1 << n) - 1
     if support == {0}:
-        return _all_zero_fragment(n, f[0])
+        # 2n + 2 vertices: above the cap it could not be verified
+        frag = _all_zero_fragment(n, f[0])
+        return frag if frag.num_vertices <= FRAGMENT_CAP else None
     if support == {full}:
         return _all_one_fragment(n, f[full])
     if n == 2 and support == {0, 3}:

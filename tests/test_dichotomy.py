@@ -279,3 +279,12 @@ def test_evaluate_auto_agrees_with_brute_force_on_every_route():
         assert value == brute_force_csp(inst), (mode, inst)
         routes.add(mode)
     assert routes == {"product", "affine", "fkt", "brute"}
+
+
+def test_auto_falls_back_when_a_builtin_fragment_exceeds_the_cap():
+    # the all-zero fragment of arity 10 has 22 vertices, over FRAGMENT_CAP
+    f = Signature([1] + [0] * 1023)
+    grid = SignatureGrid([(f, tuple(range(10))), (f, tuple(range(9, -1, -1)))])
+    assert evaluate(grid, "auto") == ("brute", Scalar.from_int(1))
+    with pytest.raises(ValueError, match="^vertex 0: no built-in realization$"):
+        evaluate(grid, "fkt")

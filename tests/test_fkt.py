@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 
@@ -185,6 +187,10 @@ def test_known_counts():
     assert count_pm_fkt(cycle_graph(4)) == Scalar.from_int(2)
     assert count_pm_fkt(path_graph(4)) == ONE
     assert count_pm_fkt(k4_graph()) == Scalar.from_int(3)
+    # two matchings of weights 1 and -1 cancel
+    cancelling = PlanarGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, -1)],
+                             [(3, 0), (0, 1), (1, 2), (2, 3)])
+    assert count_pm_fkt(cancelling) == ZERO
 
 
 def test_two_by_three_grid_has_three_matchings():
@@ -232,6 +238,45 @@ def test_fkt_matches_enumeration_field_weights():
         g = random_planar_graph(rng, max_vertices=8, extra_edges=5,
                                 weight_pool=SMALL_POOL)
         assert count_pm_fkt(g) == enumerate_pm(g)
+
+
+def mutilated_board(size, weight):
+    """The size x size grid graph without two same-colour corners."""
+    cells = [(r, c) for r in range(size) for c in range(size)
+             if (r, c) not in ((0, 0), (size - 1, size - 1))]
+    index = {cell: i for i, cell in enumerate(cells)}
+    edges = []
+    at = {cell: {} for cell in cells}
+    for (r, c) in cells:
+        for dr, dc in ((0, 1), (1, 0)):
+            other = (r + dr, c + dc)
+            if other in index:
+                at[(r, c)][(dr, dc)] = at[other][(-dr, -dc)] = len(edges)
+                edges.append((index[(r, c)], index[other], weight()))
+    # counterclockwise: east, north, west, south
+    rotation = [tuple(at[cell][d] for d in ((0, 1), (1, 0), (0, -1), (-1, 0))
+                      if d in at[cell]) for cell in cells]
+    return PlanarGraph(len(cells), edges, rotation)
+
+
+def test_mutilated_boards_count_zero_within_budget():
+    rng = random.Random(23)
+    start = time.perf_counter()
+    for size in (8, 10, 12):
+        for weight in (lambda: ONE, lambda: rand_nonzero_scalar(rng)):
+            assert count_pm_fkt(mutilated_board(size, weight)) == ZERO
+            elapsed = time.perf_counter() - start
+            assert elapsed < 5.0, f"{size}x{size}: {elapsed:.2f}s exceeds 5s"
+
+
+def test_long_path_counts_without_recursion():
+    g = path_graph(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert count_pm_fkt(g) == ONE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_enumeration_cap():
