@@ -20,6 +20,7 @@ malformed, or out of schema.  Error results carry
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -243,6 +244,7 @@ def _add_output(sub):
                      help="also write the result JSON to this file")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holant",

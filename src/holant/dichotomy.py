@@ -186,8 +186,9 @@ def _fkt_route(problem):
     equality side and by its inverse on the constraint side; that keeps
     the value and lands both sides in the realization library whenever
     the constraints are Hadamard images of realizable matchgates.  A grid
-    is taken as it is.  Returns ((grid, fragments), None), or (None, why
-    the route does not apply).
+    is taken as it is.  Each distinct signature is looked up once.
+    Returns ((grid, fragments), None), or (None, why the route does not
+    apply).
     """
     grid, where = problem, ""
     if isinstance(problem, CspInstance):
@@ -200,8 +201,11 @@ def _fkt_route(problem):
         except ValueError as e:
             return None, str(e)
     frags = []
+    found = {}
     for k, v in enumerate(grid.vertices):
-        frag = builtin_fragment(v.signature)
+        if v.signature not in found:
+            found[v.signature] = builtin_fragment(v.signature)
+        frag = found[v.signature]
         if frag is None:
             return None, f"vertex {k}: no built-in realization{where}"
         frags.append(frag)

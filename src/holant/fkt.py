@@ -11,43 +11,25 @@ when no perfect matching exists.
 
 Matchgate fragments are embedded weighted graphs with ordered dangling
 stubs; their signatures are weighted matching counts with dangling edges
-forced in or out.  Grids whose vertices all carry such realizations are
-evaluated by stitching the fragments into one planar graph.
+forced in or out.  A fragment is checked as one PlanarGraph in which
+every stub ends at a phantom vertex of degree one.  Grids whose vertices
+all carry such realizations are evaluated by stitching the fragments into
+one planar graph.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._embedding import component_roots, is_planar_embedding, trace_faces
-from .scalar import ONE, ZERO, Scalar, parse_scalar, scalar_to_json
+from .scalar import ONE, ZERO, Scalar
 from .signatures import Signature, _coerce_scalar
 
 #: enumerate_pm refuses beyond this many vertices.
 ENUM_CAP = 20
 #: fragment_signature refuses beyond this many internal vertices.
 FRAGMENT_CAP = 20
-
-
-def _checked_edges(num_vertices, edges):
-    """Vertex count and (u, v, w) triples, checked: no missing endpoint,
-    no self-loop, no zero weight."""
-    n = int(num_vertices)
-    if n < 0:
-        raise ValueError("negative vertex count")
-    es = []
-    for u, v, w in edges:
-        if not 0 <= u < n or not 0 <= v < n:
-            raise ValueError(f"edge ({u}, {v}) references a missing vertex")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        w = _coerce_scalar(w)
-        if not w:
-            raise ValueError(f"edge ({u}, {v}) has weight zero")
-        es.append((u, v, w))
-    return n, tuple(es)
 
 
 class PlanarGraph:
@@ -63,7 +45,20 @@ class PlanarGraph:
     __slots__ = ("num_vertices", "edges", "rotation")
 
     def __init__(self, num_vertices, edges, rotation):
-        n, es = _checked_edges(num_vertices, edges)
+        n = int(num_vertices)
+        if n < 0:
+            raise ValueError("negative vertex count")
+        es = []
+        for u, v, w in edges:
+            if not 0 <= u < n or not 0 <= v < n:
+                raise ValueError(f"edge ({u}, {v}) references a missing vertex")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            w = _coerce_scalar(w)
+            if not w:
+                raise ValueError(f"edge ({u}, {v}) has weight zero")
+            es.append((u, v, w))
+        es = tuple(es)
         self.num_vertices = n
         self.edges = es
         rot = tuple(tuple(r) for r in rotation)
@@ -92,17 +87,18 @@ class PlanarGraph:
                              for e in r))
         return out
 
-    def adjacency(self):
-        """Per-vertex list of (neighbor, weight, edge index)."""
-        adj = [[] for _ in range(self.num_vertices)]
-        for e, (u, v, w) in enumerate(self.edges):
-            adj[u].append((v, w, e))
-            adj[v].append((u, w, e))
-        return adj
-
     def __repr__(self):
         return (f"PlanarGraph({self.num_vertices} vertices, "
                 f"{len(self.edges)} edges)")
+
+
+def _adjacency(n, edges):
+    """Per-vertex list of (neighbor, weight, edge index)."""
+    adj = [[] for _ in range(n)]
+    for e, (u, v, w) in enumerate(edges):
+        adj[u].append((v, w, e))
+        adj[v].append((u, w, e))
+    return adj
 
 
 def _matching_sum(adj, mask, memo):
@@ -133,11 +129,7 @@ def enumerate_pm(g: PlanarGraph) -> Scalar:
         raise ValueError(f"{n} vertices exceeds the enumeration cap of {ENUM_CAP}")
     if n % 2:
         return ZERO
-    adj = [[] for _ in range(n)]
-    for u, v, w in g.edges:
-        adj[u].append((v, w, None))
-        adj[v].append((u, w, None))
-    return _matching_sum(adj, (1 << n) - 1, {})
+    return _matching_sum(_adjacency(n, g.edges), (1 << n) - 1, {})
 
 
 def kasteleyn_orient(g: PlanarGraph) -> tuple:
@@ -158,7 +150,7 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
     if n:
         seen_v[0] = True
         queue = [0]
-        adj = g.adjacency()
+        adj = _adjacency(n, g.edges)
         for u in queue:
             for v, _, e in adj[u]:
                 if not seen_v[v]:
@@ -234,7 +226,8 @@ def pfaffian(matrix) -> Scalar:
             raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(i, n):
-            if a[i][j] != -a[j][i]:
+            x, y = a[i][j], a[j][i]
+            if (x or y) and x != -y:
                 raise ValueError(f"matrix is not skew-symmetric at ({i}, {j})")
     if n % 2:
         return ZERO
@@ -331,81 +324,46 @@ class MatchgateFragment:
     `dangling[j]` is the internal vertex carrying stub j; stub j stands
     for signature variable j+1.  Rotations use a combined id space:
     dangling stubs take ids 0..k-1 in variable order, internal edges take
-    ids k..k+m-1 in edge-list order.  All stubs must lie on one face with
-    their cyclic order matching the variable order (the outer-boundary
-    condition that makes stitching into a planar grid planar again).
+    ids k..k+m-1 in edge-list order.  These are the edge ids of one
+    PlanarGraph on n + k vertices, in which stub j runs from dangling[j]
+    to a phantom vertex n + j whose rotation is (j,); the constructor
+    checks the fragment as that graph.  All stubs must lie on one face
+    with their cyclic order matching the variable order (the
+    outer-boundary condition that makes stitching into a planar grid
+    planar again).
     """
 
     __slots__ = ("num_vertices", "edges", "rotation", "dangling")
 
     def __init__(self, num_vertices, edges, rotation, dangling):
-        n, es = _checked_edges(num_vertices, edges)
-        self.num_vertices = n
-        self.edges = es
+        n = int(num_vertices)
         self.dangling = tuple(dangling)
         k = len(self.dangling)
-        m = len(es)
+        stubs = []
         for j, v in enumerate(self.dangling):
             if not 0 <= v < n:
                 raise ValueError(f"stub {j} attaches to a missing vertex {v}")
-        rot = tuple(tuple(r) for r in rotation)
-        if len(rot) != n:
-            raise ValueError("one rotation per vertex required")
-        seen = [0] * (k + m)
-        for v, r in enumerate(rot):
-            for t in r:
-                if not 0 <= t < k + m:
-                    raise ValueError(f"rotation of vertex {v} names a missing id {t}")
-                if t < k:
-                    if self.dangling[t] != v:
-                        raise ValueError(f"stub {t} listed at the wrong vertex {v}")
-                elif v not in es[t - k][:2]:
-                    raise ValueError(f"edge id {t} does not touch vertex {v}")
-                seen[t] += 1
-        for t, c in enumerate(seen):
-            want = 1 if t < k else 2
-            if c != want:
-                raise ValueError(f"id {t} appears {c} times in the rotation system")
-        self.rotation = rot
-        self._check_embedding()
-
-    def _dart_rotations(self):
-        """Dart rotations including one phantom vertex per stub."""
-        k = len(self.dangling)
-        out = []
-        for v, r in enumerate(self.rotation):
-            darts = []
-            for t in r:
-                if t < k:
-                    darts.append(2 * t)
-                else:
-                    darts.append(2 * t if v == self.edges[t - k][0] else 2 * t + 1)
-            out.append(tuple(darts))
-        for j in range(k):
-            out.append((2 * j + 1,))
-        return out
-
-    def _check_embedding(self):
-        rotations = self._dart_rotations()
-        if not is_planar_embedding(rotations):
-            raise ValueError("rotation system is not a plane embedding")
-        k = len(self.dangling)
-        if k == 0:
-            return
-        faces = trace_faces(rotations)
-        home = None
-        for face in faces:
-            if 1 in face:
-                home = face
-                break
-        stubs = [d for d in home if d % 2 and d // 2 < k]
-        if len(stubs) != k:
-            raise ValueError("dangling stubs do not share one face")
-        seq = [d // 2 for d in stubs]
-        start = seq.index(0)
-        if any(seq[(start + t) % k] != t for t in range(k)):
-            raise ValueError(
-                f"dangling stubs out of cyclic order on the outer face: {seq}")
+            stubs.append((v, n + j, ONE))
+        edges = list(edges)
+        for u, v, _ in edges:
+            if not 0 <= u < n or not 0 <= v < n:
+                raise ValueError(f"edge ({u}, {v}) references a missing vertex")
+        self.rotation = tuple(tuple(r) for r in rotation)
+        g = PlanarGraph(n + k, stubs + edges,
+                        self.rotation + tuple((j,) for j in range(k)))
+        self.num_vertices = n
+        self.edges = g.edges[k:]
+        if k:
+            # dart 1 is the phantom end of stub 0; odd darts below 2k are
+            # the phantom ends of stubs
+            home = next(f for f in trace_faces(g._dart_rotations()) if 1 in f)
+            seq = [d // 2 for d in home if d % 2 and d // 2 < k]
+            if len(seq) != k:
+                raise ValueError("dangling stubs do not share one face")
+            start = seq.index(0)
+            if any(seq[(start + t) % k] != t for t in range(k)):
+                raise ValueError(
+                    f"dangling stubs out of cyclic order on the outer face: {seq}")
 
     @property
     def arity(self) -> int:
@@ -435,10 +393,7 @@ def fragment_signature(frag: MatchgateFragment) -> Signature:
         raise ValueError(
             f"{n} internal vertices exceeds the fragment cap of {FRAGMENT_CAP}")
     k = frag.arity
-    adj = [[] for _ in range(n)]
-    for u, v, w in frag.edges:
-        adj[u].append((v, w, None))
-        adj[v].append((u, w, None))
+    adj = _adjacency(n, frag.edges)
     memo = {}
     full = (1 << n) - 1
     values = []
@@ -460,17 +415,18 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
     """Holant value of a closed grid whose signatures all carry matchgate
     realizations.
 
-    Each realization is verified against its vertex signature, the
-    fragments are stitched along grid edges into one embedded graph
-    (each grid edge joins two stub attachment vertices with a unit
-    edge), and the matching count of the stitched graph is the Holant
-    value.
+    The signature of each distinct realization is computed once and
+    compared with every vertex it serves; the fragments are stitched
+    along grid edges into one embedded graph (each grid edge joins two
+    stub attachment vertices with a unit edge), and the matching count
+    of the stitched graph is the Holant value.
     """
     if grid.dangling:
         raise ValueError("grid has dangling edges; matchgate evaluation needs a closed grid")
     realizations = list(realizations)
     if len(realizations) != len(grid.vertices):
         raise ValueError("one realization per grid vertex required")
+    realized = {}
     for i, (vertex, frag) in enumerate(zip(grid.vertices, realizations)):
         if frag is None:
             raise ValueError(f"vertex {i} has no realization")
@@ -478,7 +434,9 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
             raise ValueError(
                 f"vertex {i}: realization arity {frag.arity} "
                 f"!= degree {vertex.degree}")
-        if fragment_signature(frag) != vertex.signature:
+        if frag not in realized:
+            realized[frag] = fragment_signature(frag)
+        if realized[frag] != vertex.signature:
             raise ValueError(
                 f"vertex {i}: realization does not produce its signature")
 
@@ -534,36 +492,22 @@ _LIBRARY_PATH = Path(__file__).with_name("matchgates.json")
 _library_cache = None
 
 
-def fragment_to_json(frag: MatchgateFragment) -> dict:
-    return {
-        "vertices": frag.num_vertices,
-        "edges": [{"u": u, "v": v, "w": scalar_to_json(w)}
-                  for u, v, w in frag.edges],
-        "rotation": [list(r) for r in frag.rotation],
-        "dangling": list(frag.dangling),
-    }
-
-
-def fragment_from_json(obj) -> MatchgateFragment:
-    edges = [(e["u"], e["v"], parse_scalar(e["w"])) for e in obj["edges"]]
-    return MatchgateFragment(obj["vertices"], edges,
-                             [tuple(r) for r in obj["rotation"]],
-                             tuple(obj["dangling"]))
-
-
 def _load_library():
     global _library_cache
     if _library_cache is None:
+        from .serialize import parse_fragment, parse_signature
+
         entries = []
         data = json.loads(_LIBRARY_PATH.read_text())
         for item in data:
-            frag = fragment_from_json(item["fragment"])
-            sig = Signature([parse_scalar(v) for v in item["signature"]])
+            name = item["name"]
+            frag = parse_fragment(item["fragment"], f"{name}.fragment")
+            sig = parse_signature(item["signature"], f"{name}.signature")
             if fragment_signature(frag) != sig:
                 raise ValueError(
-                    f"library entry {item['name']!r} does not realize "
+                    f"library entry {name!r} does not realize "
                     "its stated signature")
-            entries.append((item["name"], sig, frag))
+            entries.append((name, sig, frag))
         _library_cache = tuple(entries)
     return _library_cache
 
@@ -581,8 +525,6 @@ def _scaled(frag: MatchgateFragment, scale: Scalar) -> MatchgateFragment:
 
 def _all_zero_fragment(k: int, weight: Scalar) -> MatchgateFragment:
     """weight * [y == 0...0], connected for every arity."""
-    if k == 0:
-        return MatchgateFragment(2, [(0, 1, weight)], [(0,), (0,)], ())
     # stubs at a_j, legs a_j - u_j, hub u_j - c, pendant c - d
     a = list(range(k))
     u = list(range(k, 2 * k))
@@ -605,8 +547,6 @@ def _all_zero_fragment(k: int, weight: Scalar) -> MatchgateFragment:
 
 def _all_one_fragment(k: int, weight: Scalar) -> MatchgateFragment:
     """weight * [y == 1...1], connected for every arity."""
-    if k == 0:
-        return MatchgateFragment(2, [(0, 1, weight)], [(0,), (0,)], ())
     a = list(range(k))
     c, d = k, k + 1
     edges = [(a[j], c, ONE) for j in range(k)]

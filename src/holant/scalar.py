@@ -20,10 +20,6 @@ from fractions import Fraction
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def _gcd5(a: int, b: int, c: int, d: int, e: int) -> int:
-    return math.gcd(math.gcd(math.gcd(a, b), math.gcd(c, d)), e)
-
-
 class Scalar:
     """An element a0 + a1*zeta + a2*zeta^2 + a3*zeta^3 of Q(zeta8)."""
 
@@ -35,7 +31,7 @@ class Scalar:
         n0, n1, n2, n3 = numerators
         if denominator < 0:
             n0, n1, n2, n3, denominator = -n0, -n1, -n2, -n3, -denominator
-        g = _gcd5(n0, n1, n2, n3, denominator)
+        g = math.gcd(n0, n1, n2, n3, denominator)
         if g > 1:
             n0, n1, n2, n3 = n0 // g, n1 // g, n2 // g, n3 // g
             denominator //= g

@@ -18,7 +18,7 @@ import hashlib
 import json
 
 from .dichotomy import DichotomyVerdict
-from .fkt import MatchgateFragment, PlanarGraph, fragment_to_json
+from .fkt import MatchgateFragment, PlanarGraph
 from .grids import CspInstance, SignatureGrid
 from .scalar import Scalar, parse_scalar, scalar_to_json
 from .signatures import Signature
@@ -220,6 +220,10 @@ def graph_to_json(g: PlanarGraph) -> dict:
                   for u, v, w in g.edges],
         "rotation": [list(r) for r in g.rotation],
     }
+
+
+def fragment_to_json(frag: MatchgateFragment) -> dict:
+    return {**graph_to_json(frag), "dangling": list(frag.dangling)}
 
 
 def _parse_graph_fields(obj, path):

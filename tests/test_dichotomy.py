@@ -10,7 +10,7 @@ from _util import (
     realizable_signature,
 )
 from holant.classes import is_affine, parity_of
-from holant import dichotomy, grids
+from holant import dichotomy, fkt, grids
 from holant.dichotomy import (
     DichotomyVerdict,
     classify_csp,
@@ -259,6 +259,30 @@ def test_evaluate_tests_each_distinct_signature_at_most_twice(monkeypatch):
     # every variable is forced equal: all zero or all one
     assert evaluate(inst) == ("product", Scalar.from_int(1 + 3 ** 60))
     assert 1 <= len(calls) <= 2
+
+
+def test_fkt_route_looks_up_and_checks_each_distinct_signature_once(
+        monkeypatch):
+    fkt._load_library()
+    lookups, checks = [], []
+    real_lookup, real_check = dichotomy.builtin_fragment, fkt.fragment_signature
+
+    def lookup(f):
+        lookups.append(f)
+        return real_lookup(f)
+
+    def check(frag):
+        checks.append(frag)
+        return real_check(frag)
+
+    monkeypatch.setattr(dichotomy, "builtin_fragment", lookup)
+    monkeypatch.setattr(fkt, "fragment_signature", check)
+    n = 40
+    grid = SignatureGrid([(equality(2), (k, (k + 1) % n)) for k in range(n)])
+    # a cycle of equalities: all edges 0 or all edges 1
+    assert evaluate(grid) == ("fkt", Scalar.from_int(2))
+    assert len(lookups) == 1
+    assert len(checks) == 1
 
 
 _EVAL_POOLS = {

@@ -21,14 +21,13 @@ from holant.fkt import (
     count_pm_fkt,
     enumerate_pm,
     evaluate_matchgate_grid,
-    fragment_from_json,
     fragment_signature,
-    fragment_to_json,
     kasteleyn_orient,
     pfaffian,
 )
 from holant.grids import SignatureGrid, brute_force_holant
 from holant.scalar import I, ONE, ZERO, Scalar
+from holant.serialize import fragment_to_json, parse_fragment
 from holant.signatures import Signature, equality, exact_one, unary
 from holant.transforms import H2, apply_matrix
 
@@ -130,9 +129,15 @@ def test_pfaffian_rejects_non_square():
         pfaffian([[0, 1]])
 
 
-def test_pfaffian_rejects_non_skew():
+@pytest.mark.parametrize("matrix", [
+    [[0, 1], [1, 0]],
+    [[0, 1], [0, 0]],
+    [[1, 0], [0, 0]],
+    [[0, 1, 2], [-1, 0, 3], [-2, 3, 0]],
+])
+def test_pfaffian_rejects_non_skew(matrix):
     with pytest.raises(ValueError, match="skew"):
-        pfaffian([[0, 1], [1, 0]])
+        pfaffian(matrix)
 
 
 def test_pfaffian_squares_to_determinant():
@@ -292,8 +297,25 @@ def test_enumeration_cap():
 
 
 def test_fragment_stub_at_wrong_vertex():
-    with pytest.raises(ValueError, match="wrong vertex"):
+    with pytest.raises(ValueError, match="does not touch vertex 0"):
         MatchgateFragment(2, [(0, 1, 1)], [(1, 0), (2,)], (1,))
+
+
+@pytest.mark.parametrize("edges, rotation, dangling", [
+    # an internal edge ending at vertex 2, which would be stub 0's phantom
+    ([(0, 2, 1)], [(0, 1), (1,)], (0,)),
+    # a stub on vertex 2, one past the last vertex
+    ([(0, 1, 1)], [(1,), (1,)], (2,)),
+    # stub 0 listed twice
+    ([(0, 1, 1)], [(0, 0, 1), (1,)], (0,)),
+    # stub 0 in no rotation
+    ([(0, 1, 1)], [(1,), (1,)], (0,)),
+    # id 2 = k + m names no stub and no edge
+    ([(0, 1, 1)], [(0, 1), (1, 2)], (0,)),
+])
+def test_malformed_fragments_are_rejected(edges, rotation, dangling):
+    with pytest.raises(ValueError):
+        MatchgateFragment(2, edges, rotation, dangling)
 
 
 def test_fragment_stubs_must_share_a_face():
@@ -399,7 +421,7 @@ def test_fragment_json_round_trip():
     rng = random.Random(20)
     for _ in range(20):
         frag = random_fragment(rng)
-        back = fragment_from_json(fragment_to_json(frag))
+        back = parse_fragment(fragment_to_json(frag))
         assert fragment_signature(back) == fragment_signature(frag)
         assert back.dangling == frag.dangling
 

@@ -4,7 +4,7 @@ import pytest
 
 from holant.dichotomy import DichotomyVerdict, classify_pl_csp
 from holant.fkt import MatchgateFragment, PlanarGraph, count_pm_fkt, \
-    fragment_signature, fragment_to_json
+    fragment_signature
 from holant.grids import CspInstance, SignatureGrid, brute_force_csp, \
     brute_force_holant, two_stretch
 from holant.scalar import I, ONE, Scalar, ZERO
@@ -13,6 +13,7 @@ from holant.serialize import (
     SchemaError,
     canonical_json,
     csp_to_json,
+    fragment_to_json,
     graph_to_json,
     grid_to_json,
     parse_csp,
