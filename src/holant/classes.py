@@ -10,7 +10,10 @@ basis changes:
   an affine subspace times i**Q for a multilinear quadratic Q over Z4
   whose cross terms are all even;
 * perfect-matching realizable: signatures passing the parity condition
-  and the full family of matching identities.
+  and the full family of matching identities.  Membership is decided by
+  the equivalent Pfaffian form in O(2^n n) field operations; the
+  O(4^n n) identity scan runs only on a rejected signature, to find the
+  first violated identity as its witness.
 
 The transformed variants twist by diag(1, w) for small roots of unity or
 by the Hadamard matrix before testing.  All membership predicates here
@@ -438,9 +441,15 @@ class MatchgateAnalysis:
 
 
 def is_matchgate(f: Signature) -> MatchgateAnalysis:
-    """Parity condition plus the full matching-identity scan.
+    """Parity condition plus the Pfaffian form of the matching identities.
 
-    The scan runs patterns in ascending order and position vectors in
+    Shifted by its least support point a0 and normalised, f satisfies
+    every matching identity exactly when each entry is a sub-Pfaffian of
+    one skew matrix: f(a0 ^ x) / f(a0) = Pf(A[x]) with
+    A_ij = f(a0 ^ e_i ^ e_j) / f(a0) (Cai and Gorenstein, "Matchgates
+    revisited", 2014).  That decides membership in O(2^n n) field
+    operations.  Only a rejected f runs the identity scan, which finds
+    the witness: patterns in ascending order and position vectors in
     (length, lexicographic) order, so the reported witness is the first
     violated identity in that order.  The identities imply the parity
     condition, but checking parity first gives cheaper witnesses.
@@ -452,6 +461,67 @@ def is_matchgate(f: Signature) -> MatchgateAnalysis:
         return MatchgateAnalysis(False, par,
                                  reason="support mixes parities",
                                  witness={"even": evens[0], "odd": odds[0]})
+    if par == "zero" or _pfaffian_form_holds(f):
+        return MatchgateAnalysis(True, par)
+    witness = _first_violated_identity(f)
+    if witness is None:
+        raise RuntimeError("the Pfaffian form rejects a signature that "
+                           "satisfies every matching identity")
+    return MatchgateAnalysis(False, par, reason="matching identity violated",
+                             witness=witness)
+
+
+def _pfaffian_form_holds(f: Signature) -> bool:
+    """Does f(a0 ^ x) / f(a0) equal Pf(A[x]) for every x?
+
+    a0 is the least support point, and x ranges over all 2^n index masks,
+    so that no entry goes unchecked.  pf[x] is the Pfaffian of A on the
+    positions in x (position p is bit n - p), expanded along the lowest
+    position, which is the highest bit of x: the partner at rank r, with
+    the lowest position at rank 0, carries the sign (-1)^(r+1).  The
+    minor x ^ top ^ b is numerically below x, so ascending order has it
+    ready.
+    """
+    vals = f.values
+    a0 = min(f.support())
+    inv = vals[a0].inverse()
+    pf = [ZERO] * len(vals)
+    pf[0] = ONE
+    for x in range(1, len(vals)):
+        entry = vals[a0 ^ x]
+        if entry:
+            entry = entry * inv
+        weight = x.bit_count()
+        if weight == 2:
+            pf[x] = entry
+        elif weight % 2 == 0:
+            top = 1 << (x.bit_length() - 1)
+            rest = x ^ top
+            acc = ZERO
+            plus = True
+            bits = rest
+            while bits:
+                b = 1 << (bits.bit_length() - 1)
+                bits ^= b
+                a = pf[top | b]
+                if a:
+                    minor = pf[rest ^ b]
+                    if minor:
+                        acc = acc + a * minor if plus else acc - a * minor
+                plus = not plus
+            pf[x] = acc
+        if entry != pf[x]:
+            return False
+    return True
+
+
+def _first_violated_identity(f: Signature):
+    """Scan every matching identity; the first violated one, or None.
+
+    Returns the witness {"pattern", "positions", "value"} of the first
+    violated identity, patterns in ascending order and position vectors
+    in (length, lexicographic) order.  O(4^n n) field operations.
+    """
     n = f.arity
     vals = f.values
     ebits = [0] + [1 << (n - p) for p in range(1, n + 1)]
@@ -473,11 +543,9 @@ def is_matchgate(f: Signature) -> MatchgateAnalysis:
                     term = a * b
                     acc = acc - term if j % 2 == 0 else acc + term
                 if acc:
-                    return MatchgateAnalysis(
-                        False, par, reason="matching identity violated",
-                        witness={"pattern": alpha, "positions": pvec,
-                                 "value": str(acc)})
-    return MatchgateAnalysis(True, par)
+                    return {"pattern": alpha, "positions": pvec,
+                            "value": str(acc)}
+    return None
 
 
 # -- transformed families -----------------------------------------------------

@@ -28,7 +28,7 @@ import sys
 from .classes import class_report
 from .dichotomy import classify_csp, classify_pl_csp, \
     classify_pl_csp2_symmetric, evaluate
-from .fkt import count_pm_fkt, kasteleyn_orient
+from .fkt import _count_and_orientation
 from .grids import SignatureGrid, gate_signature
 from .scalar import MINUS_ONE, ONE, ZERO, I, Scalar, scalar_to_json
 from .serialize import SchemaError, parse_csp, parse_grid, parse_graph, \
@@ -152,16 +152,15 @@ def cmd_gadget(args):
 
 def cmd_fkt(args):
     g = parse_graph(_load_document(args.input))
+    value, orientation = _count_and_orientation(g)
     out = {
         "vertices": g.num_vertices,
         "edges": len(g.edges),
-        "value": scalar_to_json(count_pm_fkt(g)),
+        "value": scalar_to_json(value),
+        "connected": orientation is not None,
     }
-    try:
-        out["orientation"] = list(kasteleyn_orient(g))
-        out["connected"] = True
-    except ValueError:
-        out["connected"] = False
+    if orientation is not None:
+        out["orientation"] = list(orientation)
     return out
 
 

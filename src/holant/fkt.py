@@ -79,6 +79,16 @@ class PlanarGraph:
         if not is_planar_embedding(self._dart_rotations()):
             raise ValueError("rotation system is not a plane embedding")
 
+    @classmethod
+    def _unchecked(cls, num_vertices, edges, rotation):
+        """A graph already known to be embedded, such as a component of a
+        checked one: no check runs."""
+        g = cls.__new__(cls)
+        g.num_vertices = num_vertices
+        g.edges = edges
+        g.rotation = rotation
+        return g
+
     def _dart_rotations(self):
         # edge e has darts 2e (u side) and 2e+1 (v side)
         out = []
@@ -159,6 +169,9 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
                     queue.append(v)
     if not all(seen_v):
         raise ValueError("kasteleyn_orient needs a connected graph")
+    if not m:
+        # no darts, so no faces: nothing to orient
+        return ()
 
     faces = trace_faces(g._dart_rotations())
     face_of = {}
@@ -258,15 +271,13 @@ def pfaffian(matrix) -> Scalar:
     return result if sign == 1 else -result
 
 
-def _count_component(g: PlanarGraph) -> Scalar:
-    """FKT count for one connected graph; the unit-weight Pfaffian,
-    sign * #matchings, fixes the sign of the weighted one."""
+def _count_component(g: PlanarGraph, orient) -> Scalar:
+    """FKT count for one connected graph under its Kasteleyn orientation;
+    the unit-weight Pfaffian, sign * #matchings, fixes the sign of the
+    weighted one."""
     n = g.num_vertices
     if n % 2:
         return ZERO
-    if n == 0:
-        return ONE
-    orient = kasteleyn_orient(g)
     unit = [[ZERO] * n for _ in range(n)]
     mat = [[ZERO] * n for _ in range(n)]
     for e, (u, v, w) in enumerate(g.edges):
@@ -284,6 +295,7 @@ def _count_component(g: PlanarGraph) -> Scalar:
 
 
 def _components(g: PlanarGraph):
+    """The connected components of a checked graph, relabelled from 0."""
     root = component_roots(g.num_vertices, ((u, v) for u, v, _ in g.edges))
     groups = {}
     for v, r in enumerate(root):
@@ -293,10 +305,11 @@ def _components(g: PlanarGraph):
     for verts, edge_ids in groups.values():
         index = {v: i for i, v in enumerate(verts)}
         eindex = {e: i for i, e in enumerate(edge_ids)}
-        edges = [(index[g.edges[e][0]], index[g.edges[e][1]], g.edges[e][2])
-                 for e in edge_ids]
-        rotation = [tuple(eindex[e] for e in g.rotation[v]) for v in verts]
-        yield PlanarGraph(len(verts), edges, rotation)
+        edges = tuple((index[g.edges[e][0]], index[g.edges[e][1]],
+                       g.edges[e][2]) for e in edge_ids)
+        rotation = tuple(tuple(eindex[e] for e in g.rotation[v])
+                         for v in verts)
+        yield PlanarGraph._unchecked(len(verts), edges, rotation)
 
 
 def count_pm_fkt(g: PlanarGraph) -> Scalar:
@@ -308,11 +321,24 @@ def count_pm_fkt(g: PlanarGraph) -> Scalar:
     """
     total = ONE
     for comp in _components(g):
-        value = _count_component(comp)
+        if comp.num_vertices % 2:
+            return ZERO
+        value = _count_component(comp, kasteleyn_orient(comp))
         if not value:
             return ZERO
         total = total * value
     return total
+
+
+def _count_and_orientation(g: PlanarGraph):
+    """count_pm_fkt(g) and the Kasteleyn orientation of g, None when g is
+    disconnected.  A connected graph is its own only component, so one
+    orientation serves both."""
+    try:
+        orient = kasteleyn_orient(g)
+    except ValueError:
+        return count_pm_fkt(g), None
+    return _count_component(g, orient), orient
 
 
 # -- matchgate fragments ---------------------------------------------------------

@@ -84,6 +84,11 @@ def test_small_arity_matchgates_are_exactly_the_parity_signatures():
                 assert is_matchgate(Signature(vals)).member == expected, vals
 
 
+def test_hadamard_equality_of_arity_12_is_decided_quickly():
+    with criterion("H2 image of =_12 is a matchgate", 3.0):
+        assert is_hadamard_matchgate(equality(12)).member
+
+
 # -- affine membership ---------------------------------------------------------------
 
 

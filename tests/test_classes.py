@@ -4,6 +4,7 @@ import random
 import pytest
 
 from _util import (
+    SMALL_POOL,
     affine_pattern_set,
     bits_of,
     pattern_of,
@@ -11,6 +12,7 @@ from _util import (
     rand_signature,
 )
 from holant.classes import (
+    _first_violated_identity,
     affine_support,
     class_report,
     compress,
@@ -25,7 +27,8 @@ from holant.classes import (
     primitive_decomposition,
     z4_polynomial,
 )
-from holant.scalar import I, ONE, SQRT2, Scalar, ZETA8, i_power, zeta_power
+from holant.fkt import pfaffian
+from holant.scalar import I, ONE, SQRT2, ZERO, Scalar, ZETA8, i_power, zeta_power
 from holant.signatures import (
     Signature,
     crossover,
@@ -432,8 +435,70 @@ def test_matchgate_witness():
     res = is_matchgate(equality(3))
     assert res.reason == "support mixes parities"
     res4 = is_matchgate(Signature.from_symmetric([1, 0, 1, 0, 1]) + crossover())
-    if not res4:
-        assert res4.witness is not None
+    assert not res4 and res4.parity == "even"
+    assert res4.reason == "matching identity violated"
+    assert res4.witness == {"pattern": 1, "positions": (1, 2, 3, 4),
+                            "value": "6"}
+
+
+def _planted_matchgate(rng, n):
+    """c * Pf(A[x ^ alpha]) for a random skew A, shift alpha and scale c.
+
+    Sub-Pfaffians come from fkt.pfaffian on the principal submatrix with
+    rows in increasing position order (position p is bit n - p).
+    """
+    a = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = rng.choice(SMALL_POOL)
+            a[j][i] = -a[i][j]
+    minors = []
+    for x in range(1 << n):
+        pos = [p for p in range(n) if (x >> (n - 1 - p)) & 1]
+        minors.append(pfaffian([[a[i][j] for j in pos] for i in pos]))
+    alpha = rng.randrange(1 << n)
+    c = rng.choice([v for v in SMALL_POOL if v])
+    return Signature([c * minors[y ^ alpha] for y in range(1 << n)])
+
+
+def _check_against_identity_scan(f):
+    """Assert that is_matchgate agrees with the full identity scan, down
+    to the witness; return the verdict."""
+    res = is_matchgate(f)
+    scan = _first_violated_identity(f)
+    values = [str(v) for v in f.values]
+    if parity_of(f) == "none":
+        # the identities imply parity; the parity witness comes first
+        assert not res and res.reason == "support mixes parities", values
+        assert scan is not None, values
+    elif scan is None:
+        assert res.member and res.witness is None, values
+    else:
+        assert not res and res.reason == "matching identity violated", values
+        assert res.witness == scan, values
+    return res.member
+
+
+def test_matchgate_pfaffian_form_matches_identity_scan():
+    rng = random.Random(59)
+    members = odd_members = 0
+    for _ in range(300):
+        n = rng.randint(1, 6 if rng.random() < 0.2 else 5)
+        f = rand_signature(rng, n, SMALL_POOL)
+        if rng.random() < 0.5:
+            # parity-passing inputs reach the Pfaffian form
+            keep = rng.randrange(2)
+            f = Signature([v if idx.bit_count() % 2 == keep else ZERO
+                           for idx, v in enumerate(f.values)])
+        for g in (f, apply_matrix(f, H2)):
+            members += _check_against_identity_scan(g)
+    for n in [1, 2, 3, 4, 5, 6] * 8 + [7, 8]:
+        f = _planted_matchgate(rng, n)
+        assert _check_against_identity_scan(f)
+        members += 1
+        odd_members += parity_of(f) == "odd"
+    # both verdicts, and odd-parity members, are well represented
+    assert members > 100 and odd_members > 10
 
 
 def test_matchgate_invariances():

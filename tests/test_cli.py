@@ -299,6 +299,41 @@ def test_fkt_disconnected_graph_has_no_orientation(capsys, tmp_path):
     assert "orientation" not in out
 
 
+def test_fkt_orients_a_connected_graph_once(capsys, tmp_path, monkeypatch):
+    import holant.cli
+    import holant.fkt
+
+    calls = []
+    orient = holant.fkt.kasteleyn_orient
+
+    def counting(g):
+        calls.append(g)
+        return orient(g)
+
+    # count calls from wherever the command reaches the orientation
+    for module in (holant.cli, holant.fkt):
+        monkeypatch.setattr(module, "kasteleyn_orient", counting,
+                            raising=False)
+    cycle = PlanarGraph(4, [(0, 1, ONE), (1, 2, ONE), (2, 3, ONE),
+                            (3, 0, 2)],
+                        [(3, 0), (0, 1), (1, 2), (2, 3)])
+    doc = put(tmp_path, "g.json", graph_to_json(cycle))
+    code, out = run(capsys, "fkt", doc)
+    assert code == 0
+    assert out["value"] == "3" and out["connected"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("vertices, value", [(0, "1"), (1, "0")])
+def test_fkt_edgeless_connected_graph(capsys, tmp_path, vertices, value):
+    g = PlanarGraph(vertices, [], [()] * vertices)
+    doc = put(tmp_path, "g.json", graph_to_json(g))
+    code, out = run(capsys, "fkt", doc)
+    assert code == 0
+    assert out == {"connected": True, "edges": 0, "orientation": [],
+                   "value": value, "vertices": vertices}
+
+
 # -- invariance ---------------------------------------------------------------------
 
 

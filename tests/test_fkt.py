@@ -12,7 +12,7 @@ from _util import (
     realizable_signature,
     random_closed_grid,
 )
-from holant._embedding import trace_faces
+from holant._embedding import is_planar_embedding, trace_faces
 from holant.classes import is_matchgate, parity_of
 from holant.fkt import (
     MatchgateFragment,
@@ -185,6 +185,11 @@ def test_orientation_needs_connectivity():
         kasteleyn_orient(g)
 
 
+def test_orientation_of_edgeless_connected_graphs():
+    assert kasteleyn_orient(PlanarGraph(0, [], [])) == ()
+    assert kasteleyn_orient(PlanarGraph(1, [], [()])) == ()
+
+
 # -- matching counts -------------------------------------------------------------
 
 
@@ -228,6 +233,23 @@ def test_disconnected_graphs_multiply():
                     [(0,), (0,), (1,), (1,)])
     assert count_pm_fkt(g) == Scalar.from_int(2) * I
     assert enumerate_pm(g) == Scalar.from_int(2) * I
+
+
+def test_components_of_a_checked_graph_are_not_rechecked(monkeypatch):
+    import holant.fkt as fkt
+
+    g = PlanarGraph(6, [(0, 1, 2), (2, 3, I), (3, 4, 1), (4, 5, 1),
+                        (5, 2, 1)],
+                    [(0,), (0,), (1, 4), (2, 1), (3, 2), (4, 3)])
+    calls = []
+
+    def counting(darts):
+        calls.append(darts)
+        return is_planar_embedding(darts)
+
+    monkeypatch.setattr(fkt, "is_planar_embedding", counting)
+    assert count_pm_fkt(g) == Scalar.from_int(2) * (I + ONE)
+    assert calls == []
 
 
 def test_fkt_matches_enumeration_unit_weights():
