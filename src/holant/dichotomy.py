@@ -27,6 +27,7 @@ promises.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .classes import (
@@ -184,9 +185,9 @@ def _fkt_route(problem):
 
     A csp goes through its bipartite grid form, rewritten by H2 on the
     equality side and by its inverse on the constraint side; that keeps
-    the value and lands both sides in the realization library whenever
-    the constraints are Hadamard images of realizable matchgates.  A grid
-    is taken as it is.  Each distinct signature is looked up once.
+    the value, turns each =_k into H2·=_k = 2·[y even] and takes each
+    constraint H2·g back to g.  A grid is taken as it is.  Each distinct
+    signature is rewritten once and looked up once.
     Returns ((grid, fragments), None), or (None, why the route does not
     apply).
     """
@@ -196,8 +197,9 @@ def _fkt_route(problem):
         if not grid.is_planar():
             return None, "instance grid is not planar as constructed"
         try:
-            grid = grid.map_sides(lambda f: transform(f, H2, "row"),
-                                  lambda f: transform(f, H2, "column"))
+            grid = grid.map_sides(
+                functools.cache(lambda f: transform(f, H2, "row")),
+                functools.cache(lambda f: transform(f, H2, "column")))
         except ValueError as e:
             return None, str(e)
     frags = []

@@ -15,12 +15,14 @@ forced in or out.  A fragment is checked as one PlanarGraph in which
 every stub ends at a phantom vertex of degree one.  Grids whose vertices
 all carry such realizations are evaluated by stitching the fragments into
 one planar graph.
+
+builtin_fragment builds a realization from the support of a signature:
+a unit-weight shape, built once, times the scale on a separate edge.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import functools
 
 from ._embedding import component_roots, is_planar_embedding, trace_faces
 from .scalar import ONE, ZERO, Scalar
@@ -511,35 +513,18 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
     return count_pm_fkt(stitched)
 
 
-# -- the builtin realization library ---------------------------------------------
-
-
-_LIBRARY_PATH = Path(__file__).with_name("matchgates.json")
-_library_cache = None
+# -- built-in realizations -------------------------------------------------------
 
 
 def _load_library():
-    global _library_cache
-    if _library_cache is None:
-        from .serialize import parse_fragment, parse_signature
-
-        entries = []
-        data = json.loads(_LIBRARY_PATH.read_text())
-        for item in data:
-            name = item["name"]
-            frag = parse_fragment(item["fragment"], f"{name}.fragment")
-            sig = parse_signature(item["signature"], f"{name}.signature")
-            if fragment_signature(frag) != sig:
-                raise ValueError(
-                    f"library entry {name!r} does not realize "
-                    "its stated signature")
-            entries.append((name, sig, frag))
-        _library_cache = tuple(entries)
-    return _library_cache
+    """Does nothing, as built-in fragments are built on demand; kept for
+    perfbench/worker.py and perfbench/setup_probe.py, which call it."""
 
 
 def _scaled(frag: MatchgateFragment, scale: Scalar) -> MatchgateFragment:
     """The same gate times a scalar: a far-away weighted edge."""
+    # On a component of its own, the scale leaves the stub component unit
+    # weighted, so once stitched it needs no weighted elimination.
     if scale == ONE:
         return frag
     n = frag.num_vertices
@@ -549,82 +534,95 @@ def _scaled(frag: MatchgateFragment, scale: Scalar) -> MatchgateFragment:
     return MatchgateFragment(n + 2, edges, rotation, frag.dangling)
 
 
-def _all_zero_fragment(k: int, weight: Scalar) -> MatchgateFragment:
-    """weight * [y == 0...0], connected for every arity."""
-    # stubs at a_j, legs a_j - u_j, hub u_j - c, pendant c - d
-    a = list(range(k))
-    u = list(range(k, 2 * k))
-    c, d = 2 * k, 2 * k + 1
-    edges = []
-    for j in range(k):
-        edges.append((a[j], u[j], ONE))
-    for j in range(k):
-        edges.append((u[j], c, ONE))
-    edges.append((c, d, weight))
+@functools.cache
+def _all_zero_fragment(k: int) -> MatchgateFragment:
+    """[y == 0...0]: the path x_1 - a_1 - ... - x_k - a_k, stub j at a_j.
+    Its only perfect matching pairs each x_j with a_j, and removing any
+    a_j leaves a segment of odd length."""
+    # vertex 2j is x_j, vertex 2j + 1 is a_j; internal edge v joins v, v + 1
+    edges = [(v, v + 1, ONE) for v in range(2 * k - 1)]
     rotation = []
     for j in range(k):
-        rotation.append((j, k + j))              # stub j, then leg j
-    for j in range(k):
-        rotation.append((k + j, 2 * k + j))      # leg j, then hub edge j
-    rotation.append(tuple(2 * k + j for j in range(k)) + (3 * k,))
-    rotation.append((3 * k,))
-    return MatchgateFragment(2 * k + 2, edges, rotation, tuple(a))
+        left, mid, right = k + 2 * j - 1, k + 2 * j, k + 2 * j + 1
+        rotation.append((left, mid) if j else (mid,))
+        rotation.append((j, right, mid) if j < k - 1 else (j, mid))
+    return MatchgateFragment(2 * k, edges, rotation, tuple(range(1, 2 * k, 2)))
 
 
-def _all_one_fragment(k: int, weight: Scalar) -> MatchgateFragment:
-    """weight * [y == 1...1], connected for every arity."""
-    a = list(range(k))
-    c, d = k, k + 1
-    edges = [(a[j], c, ONE) for j in range(k)]
-    edges.append((c, d, weight))
+@functools.cache
+def _all_one_fragment(k: int) -> MatchgateFragment:
+    """[y == 1...1]: stubs at 0..k-1, each joined to a hub k with a
+    pendant k + 1."""
+    edges = [(j, k, ONE) for j in range(k)] + [(k, k + 1, ONE)]
     rotation = [(j, k + j) for j in range(k)]
-    rotation.append(tuple(k + j for j in range(k)) + (2 * k,))
-    rotation.append((2 * k,))
-    return MatchgateFragment(k + 2, edges, rotation, tuple(a))
+    rotation += [tuple(range(k, 2 * k + 1)), (2 * k,)]
+    return MatchgateFragment(k + 2, edges, rotation, tuple(range(k)))
 
 
+@functools.cache
 def _exact_one_fragment(k: int) -> MatchgateFragment:
     return MatchgateFragment(1, [], [tuple(range(k))], (0,) * k)
 
 
-def builtin_fragment(f: Signature):
-    """A realization of f from the builtin library, or None.
+@functools.cache
+def _even_fragment(k: int) -> MatchgateFragment:
+    """[y has even weight], k >= 3: a chain of k - 2 EVEN_3 blocks.
 
-    Covers the library entries and their nonzero scalar multiples, plus
-    the weighted families a*[y=0..0] up to arity 9, b*[y=1..1] at any
-    arity and [a,0,b] at arity two.  Every fragment it returns fits
-    within FRAGMENT_CAP vertices, so evaluate_matchgate_grid can verify it.
+    Block b joins a centre 4b + 3 to the terminals 4b, 4b + 1, 4b + 2,
+    and 4b to 4b + 1; it realizes [y even] on its terminals.  An edge
+    from 4b + 2 to 4b + 4 sums out the variable two blocks share.
+    """
+    blocks = k - 2
+    links = 4 * blocks  # vertex count, and index of the first link edge
+    edges = []
+    for v in range(0, links, 4):
+        edges += [(v + t, v + 3, ONE) for t in range(3)] + [(v, v + 1, ONE)]
+    edges += [(v + 2, v + 4, ONE) for v in range(0, links - 4, 4)]
+    # stub 0, the link edges in chain order, stub k - 1
+    ends = [0, *range(k + links, k + links + blocks - 1), k - 1]
+    rotation = []
+    for b in range(blocks):
+        e = k + 4 * b  # combined id of the block's first edge
+        rotation += [(ends[b], e + 3, e), (b + 1, e + 1, e + 3),
+                     (ends[b + 1], e + 2), (e, e + 1, e + 2)]
+    dangling = (0, *range(1, links, 4), links - 2)
+    return MatchgateFragment(links, edges, rotation, dangling)
+
+
+def builtin_fragment(f: Signature):
+    """A realization of f built from the shape of f alone, or None.
+
+    [a,0,0,b] with a, b nonzero is one edge of weight a/b, scaled by b.
+    Any other f must take one value c on its whole support, which picks
+    a unit-weight shape: weight one (1 vertex), {0...0} (a path, 2k),
+    {1...1} (a hub, k + 2) or, from arity 3, even weight (a chain,
+    4k - 8).  _scaled scales it by c.  None when that exceeds
+    FRAGMENT_CAP vertices, so evaluate_matchgate_grid can verify it.
     """
     if f.is_zero:
         return None
-    for _, sig, frag in _load_library():
-        if sig.arity != f.arity:
-            continue
-        if f == sig:
-            return frag
-        ref = min(sig.support())
-        if sig.support() == f.support():
-            scale = f[ref] / sig[ref]
-            if f == sig * scale:
-                return _scaled(frag, scale)
     n = f.arity
     support = f.support()
     full = (1 << n) - 1
-    if support == {0}:
-        # 2n + 2 vertices: above the cap it could not be verified
-        frag = _all_zero_fragment(n, f[0])
-        return frag if frag.num_vertices <= FRAGMENT_CAP else None
-    if support == {full}:
-        return _all_one_fragment(n, f[full])
-    if n == 2 and support == {0, 3}:
-        # path p - u - v - q with stubs at p and q: entry(00) is the
-        # product of the outer weights, entry(11) the middle weight
-        return MatchgateFragment(
-            4, [(0, 1, f[0]), (1, 2, f[3]), (2, 3, ONE)],
-            [(0, 2), (2, 3), (3, 4), (4, 1)], (0, 3))
-    weight_one = {1 << j for j in range(n)}
-    if support == weight_one:
-        vals = {f[1 << j] for j in range(n)}
-        if len(vals) == 1:
-            return _scaled(_exact_one_fragment(n), f[1 << (n - 1)])
-    return None
+    if n == 2 and support == {0, full}:
+        shape = MatchgateFragment(2, [(0, 1, f[0] / f[full])],
+                                  [(0, 2), (2, 1)], (0, 1))
+        scale = f[full]
+    else:
+        scale = f[min(support)]
+        if any(f[y] != scale for y in support):
+            return None
+        if support == {1 << j for j in range(n)}:
+            shape = _exact_one_fragment(n)
+        elif support == {0}:
+            shape = _all_zero_fragment(n)
+        elif support == {full}:
+            shape = _all_one_fragment(n)
+        elif n >= 3 and len(support) == 1 << (n - 1) and \
+                all(y.bit_count() % 2 == 0 for y in support):
+            shape = _even_fragment(n)
+        else:
+            return None
+    if shape.num_vertices + 2 * (scale != ONE) > FRAGMENT_CAP:
+        return None
+    return _scaled(shape, scale)

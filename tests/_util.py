@@ -165,7 +165,10 @@ def random_planar_graph(rng, max_vertices=10, extra_edges=4,
 
 
 def realizable_signature(rng, arity):
-    """A signature the built-in matchgate library can realize (arity 1..6)."""
+    """A signature builtin_fragment realizes: a nonzero constant on one of
+    its shapes (all-zero, all-one, exact-one, even weight) or [w,0,0,v].
+    At arity 7 a scaled even-weight shape exceeds FRAGMENT_CAP, so arity
+    stays within 1..6."""
     w = rand_nonzero_scalar(rng)
     kinds = ["zero-pin", "one-pin", "exact-one", "even"]
     if arity == 2:

@@ -263,7 +263,6 @@ def test_evaluate_tests_each_distinct_signature_at_most_twice(monkeypatch):
 
 def test_fkt_route_looks_up_and_checks_each_distinct_signature_once(
         monkeypatch):
-    fkt._load_library()
     lookups, checks = [], []
     real_lookup, real_check = dichotomy.builtin_fragment, fkt.fragment_signature
 
@@ -283,6 +282,23 @@ def test_fkt_route_looks_up_and_checks_each_distinct_signature_once(
     assert evaluate(grid) == ("fkt", Scalar.from_int(2))
     assert len(lookups) == 1
     assert len(checks) == 1
+
+
+def test_fkt_route_rewrites_each_distinct_signature_once(monkeypatch):
+    sides = []
+    real = dichotomy.transform
+
+    def counted(f, t, side):
+        sides.append(side)
+        return real(f, t, side)
+
+    monkeypatch.setattr(dichotomy, "transform", counted)
+    f = apply_matrix(exact_one(2), H2)
+    n = 12
+    inst = CspInstance(n, tuple((f, (i, (i + 1) % n)) for i in range(n)))
+    assert evaluate(inst, "fkt") == ("fkt", brute_force_csp(inst))
+    # one equality(2) on the row side, one constraint on the column side
+    assert sorted(sides) == ["column", "row"]
 
 
 _EVAL_POOLS = {
@@ -305,10 +321,19 @@ def test_evaluate_auto_agrees_with_brute_force_on_every_route():
     assert routes == {"product", "affine", "fkt", "brute"}
 
 
+def _all_zero_pair(k):
+    f = Signature([1] + [0] * ((1 << k) - 1))
+    return SignatureGrid([(f, tuple(range(k))),
+                          (f, tuple(range(k - 1, -1, -1)))])
+
+
 def test_auto_falls_back_when_a_builtin_fragment_exceeds_the_cap():
-    # the all-zero fragment of arity 10 has 22 vertices, over FRAGMENT_CAP
-    f = Signature([1] + [0] * 1023)
-    grid = SignatureGrid([(f, tuple(range(10))), (f, tuple(range(9, -1, -1)))])
+    # the all-zero path of arity 11 has 22 vertices, over FRAGMENT_CAP
+    grid = _all_zero_pair(11)
     assert evaluate(grid, "auto") == ("brute", Scalar.from_int(1))
     with pytest.raises(ValueError, match="^vertex 0: no built-in realization$"):
         evaluate(grid, "fkt")
+    # at arity 10 the path has 20 vertices and is realized
+    grid = _all_zero_pair(10)
+    assert evaluate(grid, "auto") == ("fkt", brute_force_holant(grid))
+    assert brute_force_holant(grid) == Scalar.from_int(1)

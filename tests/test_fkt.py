@@ -12,6 +12,7 @@ from _util import (
     realizable_signature,
     random_closed_grid,
 )
+from holant import fkt
 from holant._embedding import is_planar_embedding, trace_faces
 from holant.classes import is_matchgate, parity_of
 from holant.fkt import (
@@ -448,7 +449,7 @@ def test_fragment_json_round_trip():
         assert back.dangling == frag.dangling
 
 
-# -- the built-in library --------------------------------------------------------
+# -- built-in realizations -------------------------------------------------------
 
 
 def test_builtin_pins_and_equality():
@@ -474,6 +475,11 @@ def test_builtin_hadamard_equalities():
         frag = builtin_fragment(f)
         assert frag is not None
         assert fragment_signature(frag) == f
+    # H2 =_7 is 2 [y even]: the unit chain has 20 vertices, the scaled 22
+    even7 = Signature([1 - y.bit_count() % 2 for y in range(128)])
+    assert apply_matrix(equality(7), H2) == Scalar.from_int(2) * even7
+    assert builtin_fragment(even7).num_vertices == 20
+    assert builtin_fragment(apply_matrix(equality(7), H2)) is None
 
 
 def test_builtin_gap_signatures():
@@ -495,6 +501,69 @@ def test_builtin_respects_random_realizable_pool():
         frag = builtin_fragment(f)
         assert frag is not None
         assert fragment_signature(frag) == f
+
+
+# family -> (support test on (arity, input), unit-shape vertex count,
+# constructor)
+_SHAPES = {
+    "all-zero": (lambda k, y: y == 0, lambda k: 2 * k,
+                 fkt._all_zero_fragment),
+    "all-one": (lambda k, y: y == (1 << k) - 1, lambda k: k + 2,
+                fkt._all_one_fragment),
+    "exact-one": (lambda k, y: y.bit_count() == 1, lambda k: 1,
+                  fkt._exact_one_fragment),
+    "even": (lambda k, y: y.bit_count() % 2 == 0, lambda k: 4 * k - 8,
+             fkt._even_fragment),
+}
+
+
+def _arities(family):
+    # [0,w] is weight one, so all-one starts at arity 2; even-weight
+    # signatures below arity 3 are [w,0] (all-zero) and [w,0,0,w] (gap)
+    return range({"all-one": 2, "even": 3}.get(family, 1), 17)
+
+
+@pytest.mark.parametrize("family", sorted(_SHAPES))
+def test_builtin_family_sweep_follows_the_size_rule(family):
+    support_of, unit_size, _ = _SHAPES[family]
+    for k in _arities(family):
+        for w in SMALL_POOL[1:]:
+            f = Signature([w if support_of(k, y) else ZERO
+                           for y in range(1 << k)])
+            frag = builtin_fragment(f)
+            size = unit_size(k) + (0 if w == ONE else 2)
+            if size > fkt.FRAGMENT_CAP:
+                assert frag is None, (family, k, w)
+                continue
+            assert frag.num_vertices == size, (family, k, w)
+            # the scale sits on the far edge, the last one; the rest is unit
+            assert all(x == ONE for _, _, x in frag.edges[:-1])
+            # fragment_signature enumerates 2^k stub patterns, so past
+            # arity 12 one weight per arity is checked, a different one
+            # each time (ONE at 14, I at 16, the 20-vertex edge of the cap)
+            if k <= 12 or w == SMALL_POOL[1 + k % 7]:
+                assert fragment_signature(frag) == f, (family, k, w)
+
+
+def test_builtin_gap_sweep():
+    for a in SMALL_POOL[1:]:
+        for b in SMALL_POOL[1:]:
+            f = Signature([a, 0, 0, b])
+            frag = builtin_fragment(f)
+            # one edge of weight a/b, and the far edge when b is not 1
+            assert frag.num_vertices == (2 if b == ONE else 4)
+            assert frag.edges[0][2] == a / b
+            assert fragment_signature(frag) == f
+
+
+@pytest.mark.parametrize("family", sorted(_SHAPES))
+def test_unit_shapes_have_unit_weights_and_pinned_sizes(family):
+    _, unit_size, build = _SHAPES[family]
+    for k in _arities(family):
+        shape = build(k)
+        assert shape.num_vertices == unit_size(k)
+        assert all(w == ONE for _, _, w in shape.edges)
+        assert build(k) is shape
 
 
 # -- grid evaluation -------------------------------------------------------------
