@@ -9,6 +9,14 @@ the same oriented matrix with unit weights has Pfaffian sign * #matchings,
 an exact integer whose sign is the global one, and which is zero exactly
 when no perfect matching exists.
 
+Both Pfaffians come from one sparse kernel: rows are dicts of nonzero
+entries, and a skew elimination pivots on a vertex of minimum degree and
+its neighbour of minimum degree, so an update touches only the nonzeros
+around the pivot and the fill of a planar matrix stays small whatever
+the vertex numbering (Galbiati and Maffioli 1994; Lipton, Rose and
+Tarjan 1979).  Permuting vertices multiplies both Pfaffians by the same
+sign, so the count does not depend on the pivot order.
+
 Matchgate fragments are embedded weighted graphs with ordered dangling
 stubs; their signatures are weighted matching counts with dangling edges
 forced in or out.  A fragment is checked as one PlanarGraph in which
@@ -23,6 +31,7 @@ a unit-weight shape, built once, times the scale on a separate edge.
 from __future__ import annotations
 
 import functools
+import heapq
 
 from ._embedding import component_roots, is_planar_embedding, trace_faces
 from .scalar import ONE, ZERO, Scalar
@@ -229,70 +238,128 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
 def pfaffian(matrix) -> Scalar:
     """Exact Pfaffian of a skew-symmetric scalar matrix.
 
-    Skew elimination: congruence operations clear the first row beyond
-    the pivot, the 2x2 leading block splits off, and the product of
-    pivots (with swap signs) is the Pfaffian.  Odd dimension gives zero;
-    a non-skew matrix is an error.
+    A sparse skew elimination over the nonzero entries, pivoting in
+    minimum-degree order (see _pfaffian_rows).  Odd dimension gives zero;
+    a matrix that is not square or not skew is an error, and the error
+    names the least (i, j) with i <= j where A[i][j] != -A[j][i].
     """
     a = [[_coerce_scalar(x) for x in row] for row in matrix]
     n = len(a)
     for row in a:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i, n):
-            x, y = a[i][j], a[j][i]
-            if (x or y) and x != -y:
-                raise ValueError(f"matrix is not skew-symmetric at ({i}, {j})")
+    return _pfaffian_rows([{j: x for j, x in enumerate(row) if x}
+                           for row in a])
+
+
+def _pfaffian_rows(rows) -> Scalar:
+    """Exact Pfaffian of the skew matrix with A[i][j] = rows[i][j], where
+    each dict holds only nonzero entries.  The rows are consumed.
+
+    Each step pivots on a live vertex p of least degree and its neighbour
+    q of least degree (ties to the lower index), multiplies the result by
+    A[p][q], and replaces the rest by its skew Schur complement, which
+    changes only the entries among the neighbours of p and q:
+    A[i][j] += (A[q][i] A[p][j] - A[p][i] A[q][j]) / A[p][q].  Entries
+    that cancel are dropped, so a live vertex with an empty row means a
+    zero Pfaffian.  The Pfaffian is the product of the pivots times the
+    sign of the elimination order.  Minimum degree keeps the fill of
+    planar matrices small (Lipton, Rose and Tarjan 1979).
+    """
+    n = len(rows)
+    # every stored entry needs a stored mirror; the values of a pair are
+    # compared once, from the row of its lower index
+    bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
+           for j, x in row.items()
+           if i == j or i not in rows[j] or (i < j and x != -rows[j][i])]
+    if bad:
+        raise ValueError("matrix is not skew-symmetric at (%d, %d)" % min(bad))
     if n % 2:
         return ZERO
-    sign = 1
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    live = [True] * n
+    order = []
     result = ONE
-    for k in range(0, n, 2):
-        # pivot into position (k, k+1)
-        if not a[k][k + 1]:
-            j = next((t for t in range(k + 2, n) if a[k][t]), None)
-            if j is None:
-                return ZERO
-            for row in a:
-                row[k + 1], row[j] = row[j], row[k + 1]
-            a[k + 1], a[j] = a[j], a[k + 1]
-            sign = -sign
-        pivot = a[k][k + 1]
+    while heap:
+        degree, p = heapq.heappop(heap)
+        if not live[p] or degree != len(rows[p]):
+            continue
+        row_p = rows[p]
+        if not row_p:
+            return ZERO
+        q = min(row_p, key=lambda j: (len(rows[j]), j))
+        row_q = rows[q]
+        pivot = row_p.pop(q)
+        del row_q[p]
+        for j in row_p:
+            del rows[j][p]
+        for j in row_q:
+            del rows[j][q]
+        live[p] = live[q] = False
+        order += (p, q)
         result = result * pivot
+        # with u = A[p] and w = A[q] / pivot, the update is w_i u_j - u_i w_j
         inv = pivot.inverse()
-        for j in range(k + 2, n):
-            if a[k][j]:
-                c = a[k][j] * inv
-                for t in range(n):
-                    if a[k + 1][t]:
-                        a[j][t] = a[j][t] - c * a[k + 1][t]
-                for t in range(n):
-                    if a[t][k + 1]:
-                        a[t][j] = a[t][j] - c * a[t][k + 1]
-    return result if sign == 1 else -result
+        w = {i: x * inv for i, x in row_q.items()}
+        near = [(i, w.get(i), row_p.get(i)) for i in row_p.keys() | w.keys()]
+        for s, (i, wi, ui) in enumerate(near):
+            row_i = rows[i]
+            for j, wj, uj in near[s + 1:]:
+                d = wi * uj if wi is not None and uj is not None else None
+                if wj is not None and ui is not None:
+                    d = -(wj * ui) if d is None else d - wj * ui
+                if d is None:
+                    continue
+                old = row_i.get(j)
+                if old is not None:
+                    d = old + d
+                if d:
+                    row_i[j] = d
+                    rows[j][i] = -d
+                elif old is not None:
+                    del row_i[j], rows[j][i]
+        for i, _, _ in near:
+            heapq.heappush(heap, (len(rows[i]), i))
+    # the order, as a permutation, has sign (-1)^(n - number of cycles)
+    seen = [False] * n
+    cycles = 0
+    for v in range(n):
+        if not seen[v]:
+            cycles += 1
+            while not seen[v]:
+                seen[v] = True
+                v = order[v]
+    return result if (n - cycles) % 2 == 0 else -result
 
 
 def _count_component(g: PlanarGraph, orient) -> Scalar:
     """FKT count for one connected graph under its Kasteleyn orientation;
     the unit-weight Pfaffian, sign * #matchings, fixes the sign of the
-    weighted one."""
+    weighted one.  Both matrices are built as sparse rows, with parallel
+    edges summed."""
     n = g.num_vertices
     if n % 2:
         return ZERO
-    unit = [[ZERO] * n for _ in range(n)]
-    mat = [[ZERO] * n for _ in range(n)]
-    for e, (u, v, w) in enumerate(g.edges):
-        if orient[e]:
-            u, v = v, u
-        unit[u][v] = unit[u][v] + ONE
-        unit[v][u] = unit[v][u] - ONE
-        mat[u][v] = mat[u][v] + w
-        mat[v][u] = mat[v][u] - w
-    count = pfaffian(unit)
+    arcs = [(v, u, w) if o else (u, v, w)
+            for (u, v, w), o in zip(g.edges, orient)]
+    unit = [{} for _ in range(n)]
+    for u, v, _ in arcs:
+        unit[u][v] = unit[u].get(v, 0) + 1
+        unit[v][u] = unit[v].get(u, 0) - 1
+    count = _pfaffian_rows([{j: Scalar.from_int(c) for j, c in row.items() if c}
+                            for row in unit])
     if not count:
         return ZERO
-    pf = count if all(w == ONE for _, _, w in g.edges) else pfaffian(mat)
+    if all(w == ONE for _, _, w in arcs):
+        pf = count
+    else:
+        mat = [{} for _ in range(n)]
+        for u, v, w in arcs:
+            mat[u][v] = mat[u][v] + w if v in mat[u] else w
+            mat[v][u] = mat[v][u] - w if u in mat[v] else -w
+        pf = _pfaffian_rows([{j: x for j, x in row.items() if x}
+                             for row in mat])
     return pf if count.as_fraction() > 0 else -pf
 
 

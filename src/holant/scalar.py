@@ -123,7 +123,8 @@ class Scalar:
 
     def __neg__(self) -> Scalar:
         s = Scalar.__new__(Scalar)
-        s._n = tuple(-a for a in self._n)
+        n0, n1, n2, n3 = self._n
+        s._n = (-n0, -n1, -n2, -n3)
         s._d = self._d
         return s
 
@@ -166,6 +167,10 @@ class Scalar:
     def inverse(self) -> Scalar:
         if not self:
             raise ZeroDivisionError("inverse of zero")
+        if self._d == 1:
+            unit = _UNIT_INVERSES.get(self._n)
+            if unit is not None:
+                return unit
         # product of the other three Galois conjugates; self * w is the
         # rational field norm
         w = self.galois(3) * self.galois(5) * self.galois(7)
@@ -280,6 +285,10 @@ _I_POWERS = {
     (-1, 0, 0, 0): 2,
     (0, 0, -1, 0): 3,
 }
+
+
+#: (+-zeta^k)^-1 = +-zeta^(8 - k), by the numerators of +-zeta^k
+_UNIT_INVERSES = {zeta_power(k)._n: zeta_power(8 - k) for k in range(8)}
 
 
 def i_power(k: int) -> Scalar:

@@ -333,3 +333,66 @@ def random_fragment(rng, max_vertices=6, extra_edges=3, max_stubs=4):
     for v, slot, j in sorted(inserts, key=lambda t: -t[1]):
         rot[v].insert(slot, j)
     return MatchgateFragment(g.num_vertices, g.edges, rot, dangling)
+
+
+def pfaffian_by_expansion(a):
+    """Pfaffian by expansion along the first row, for n <= 10:
+    Pf(A) = sum over j of (-1)^(j+1) a[0][j] Pf(A without rows and
+    columns 0 and j).  Sign-sensitive, unlike Pf^2 = det."""
+    n = len(a)
+    if n > 10:
+        raise ValueError("expansion is for n <= 10")
+    if n % 2:
+        return ZERO
+    if n == 0:
+        return ONE
+    total = ZERO
+    for j in range(1, n):
+        if a[0][j]:
+            keep = [t for t in range(1, n) if t != j]
+            minor = pfaffian_by_expansion([[a[r][c] for c in keep] for r in keep])
+            term = a[0][j] * minor
+            total = total + term if j % 2 else total - term
+    return total
+
+
+def grid_graph(rows, cols, numbering="row", rng=None, removed=(),
+               weight=lambda: ONE):
+    """The rows x cols grid graph less the `removed` cells, numbered row by
+    row ("row"), column by column ("col") or in a shuffled order
+    ("shuffled", drawn from rng).  Edge weights come from `weight()`,
+    called once per edge in row-major order."""
+    from holant.fkt import PlanarGraph
+
+    cells = [(r, c) for r in range(rows) for c in range(cols)
+             if (r, c) not in removed]
+    if numbering == "col":
+        order = sorted(cells, key=lambda cell: (cell[1], cell[0]))
+    elif numbering == "shuffled":
+        order = list(cells)
+        rng.shuffle(order)
+    else:
+        order = cells
+    index = {cell: i for i, cell in enumerate(order)}
+    edges = []
+    at = {cell: {} for cell in cells}
+    for (r, c) in cells:
+        for dr, dc in ((0, 1), (1, 0)):
+            other = (r + dr, c + dc)
+            if other in index:
+                at[(r, c)][(dr, dc)] = at[other][(-dr, -dc)] = len(edges)
+                edges.append((index[(r, c)], index[other], weight()))
+    rotation = [()] * len(cells)
+    for cell in cells:
+        # counterclockwise: east, north, west, south
+        rotation[index[cell]] = tuple(
+            at[cell][d] for d in ((0, 1), (1, 0), (0, -1), (-1, 0))
+            if d in at[cell])
+    return PlanarGraph(len(cells), edges, rotation)
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a

@@ -11,6 +11,8 @@ import time
 from contextlib import contextmanager
 
 from _util import (
+    fibonacci,
+    grid_graph,
     rand_affine_signature,
     rand_csp,
     rand_product_signature,
@@ -181,6 +183,18 @@ def test_fkt_agrees_with_matching_enumeration():
         for _ in range(500):
             g = random_planar_graph(rng, max_vertices=10)
             assert count_pm_fkt(g) == enumerate_pm(g)
+
+
+def test_fkt_scales_to_long_ladders_and_large_grids_in_any_numbering():
+    rng = random.Random(48)
+    ladder = Scalar.from_int(fibonacci(2001))
+    with criterion("FKT on a 2x2000 ladder, row and column numbering", 5.0):
+        for numbering in ("row", "col"):
+            assert count_pm_fkt(grid_graph(2, 2000, numbering)) == ladder
+    with criterion("FKT on a 32x32 grid, three numberings", 4.0):
+        counts = {count_pm_fkt(grid_graph(32, 32, numbering, rng))
+                  for numbering in ("row", "col", "shuffled")}
+        assert len(counts) == 1 and counts.pop().as_fraction() > 0
 
 
 def test_matchgate_grid_evaluation_matches_brute_force():

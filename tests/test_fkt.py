@@ -6,6 +6,9 @@ import pytest
 
 from _util import (
     SMALL_POOL,
+    fibonacci,
+    grid_graph,
+    pfaffian_by_expansion,
     rand_nonzero_scalar,
     random_fragment,
     random_planar_graph,
@@ -27,7 +30,7 @@ from holant.fkt import (
     pfaffian,
 )
 from holant.grids import SignatureGrid, brute_force_holant
-from holant.scalar import I, ONE, ZERO, Scalar
+from holant.scalar import I, MINUS_ONE, ONE, ZERO, Scalar
 from holant.serialize import fragment_to_json, parse_fragment
 from holant.signatures import Signature, equality, exact_one, unary
 from holant.transforms import H2, apply_matrix
@@ -154,6 +157,86 @@ def test_pfaffian_squares_to_determinant():
             assert pfaffian(a) * pfaffian(a) == exact_det(a)
 
 
+def test_pfaffian_reports_the_least_non_skew_position():
+    # one-sided entries at (1, 2) and (2, 3), a nonzero diagonal at (3, 3)
+    m = [[0, 1, 0, 0],
+         [-1, 0, 0, 0],
+         [0, 5, 0, 0],
+         [0, 0, 2, 4]]
+    with pytest.raises(ValueError, match=r"skew-symmetric at \(1, 2\)"):
+        pfaffian(m)
+    m[2][1] = 0
+    with pytest.raises(ValueError, match=r"skew-symmetric at \(2, 3\)"):
+        pfaffian(m)
+    m[3][2] = 0
+    with pytest.raises(ValueError, match=r"skew-symmetric at \(3, 3\)"):
+        pfaffian(m)
+
+
+def _skew(n, entry):
+    a = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = entry(i, j)
+            a[j][i] = -a[i][j]
+    return a
+
+
+def _congruent(rng, n):
+    """B^T S B for a random B over {0, 1, -1} and S a direct sum of 2x2
+    blocks, one of them zero at random, so its Pfaffian det(B) Pf(S) is
+    often zero and the elimination has to cancel its way there."""
+    s = [[ZERO] * n for _ in range(n)]
+    for k in range(0, n - 1, 2):
+        v = rng.choice(SMALL_POOL[1:])
+        s[k][k + 1], s[k + 1][k] = v, -v
+    if n >= 2 and rng.random() < 0.5:
+        k = 2 * rng.randrange(n // 2)
+        s[k][k + 1] = s[k + 1][k] = ZERO
+    b = [[rng.choice((ZERO, ZERO, ONE, MINUS_ONE)) for _ in range(n)]
+         for _ in range(n)]
+    sb = [[sum((s[i][t] * b[t][j] for t in range(n)), ZERO)
+           for j in range(n)] for i in range(n)]
+    return [[sum((b[t][i] * sb[t][j] for t in range(n)), ZERO)
+             for j in range(n)] for i in range(n)]
+
+
+def test_pfaffian_matches_first_row_expansion():
+    rng = random.Random(29)
+    kinds = {
+        "sparse": lambda n: _skew(n, lambda i, j: rng.choice(SMALL_POOL)
+                                  if rng.random() < 0.3 else ZERO),
+        "dense": lambda n: _skew(n, lambda i, j: rng.choice(SMALL_POOL)),
+        "cancelling": lambda n: _skew(n, lambda i, j: rng.choice(
+            (ZERO, ONE, MINUS_ONE))),
+        "congruent": lambda n: _congruent(rng, n),
+    }
+    zeros = 0
+    for kind, make in kinds.items():
+        for n in range(11):
+            for _ in range(8):
+                a = make(n)
+                if n and rng.random() < 0.2:
+                    z = rng.randrange(n)
+                    for t in range(n):
+                        a[z][t] = a[t][z] = ZERO
+                want = pfaffian_by_expansion(a)
+                zeros += n % 2 == 0 and not want
+                assert pfaffian(a) == want, (kind, a)
+    assert zeros > 20  # plenty of cancellation to zero at even n
+
+
+def test_pfaffian_drops_fill_that_cancels():
+    # Pf = a01 a23 - a02 a13 + a03 a12 = -1 - 1 + 2: whatever the first
+    # pivot, the update cancels the last entry and leaves empty rows
+    m = [[0, 1, 1, 1],
+         [-1, 0, 2, 1],
+         [-1, -2, 0, -1],
+         [-1, -1, 1, 0]]
+    assert pfaffian(m) == ZERO == pfaffian_by_expansion(
+        [[Scalar.from_int(x) for x in row] for row in m])
+
+
 # -- orientation -----------------------------------------------------------------
 
 
@@ -270,21 +353,8 @@ def test_fkt_matches_enumeration_field_weights():
 
 def mutilated_board(size, weight):
     """The size x size grid graph without two same-colour corners."""
-    cells = [(r, c) for r in range(size) for c in range(size)
-             if (r, c) not in ((0, 0), (size - 1, size - 1))]
-    index = {cell: i for i, cell in enumerate(cells)}
-    edges = []
-    at = {cell: {} for cell in cells}
-    for (r, c) in cells:
-        for dr, dc in ((0, 1), (1, 0)):
-            other = (r + dr, c + dc)
-            if other in index:
-                at[(r, c)][(dr, dc)] = at[other][(-dr, -dc)] = len(edges)
-                edges.append((index[(r, c)], index[other], weight()))
-    # counterclockwise: east, north, west, south
-    rotation = [tuple(at[cell][d] for d in ((0, 1), (1, 0), (0, -1), (-1, 0))
-                      if d in at[cell]) for cell in cells]
-    return PlanarGraph(len(cells), edges, rotation)
+    return grid_graph(size, size, removed=((0, 0), (size - 1, size - 1)),
+                      weight=weight)
 
 
 def test_mutilated_boards_count_zero_within_budget():
@@ -295,6 +365,42 @@ def test_mutilated_boards_count_zero_within_budget():
             assert count_pm_fkt(mutilated_board(size, weight)) == ZERO
             elapsed = time.perf_counter() - start
             assert elapsed < 5.0, f"{size}x{size}: {elapsed:.2f}s exceeds 5s"
+
+
+def _relabelled(g, perm):
+    """g with vertex v renamed perm[v]; edge ids, and so rotations, stay."""
+    rotation = [()] * g.num_vertices
+    for v, r in enumerate(g.rotation):
+        rotation[perm[v]] = r
+    return PlanarGraph(g.num_vertices,
+                       [(perm[u], perm[v], w) for u, v, w in g.edges],
+                       rotation)
+
+
+def test_fkt_is_independent_of_vertex_numbering():
+    rng = random.Random(31)
+    for t in range(60):
+        g = random_planar_graph(rng, max_vertices=10, extra_edges=5,
+                                weight_pool=SMALL_POOL if t % 2 else None)
+        want = enumerate_pm(g)
+        for _ in range(3):
+            perm = list(range(g.num_vertices))
+            rng.shuffle(perm)
+            assert count_pm_fkt(_relabelled(g, perm)) == want
+
+
+@pytest.mark.parametrize("numbering", ["row", "col"])
+def test_ladder_counts_are_fibonacci(numbering):
+    for length in (*range(1, 13), 60, 300):
+        g = grid_graph(2, length, numbering)
+        assert count_pm_fkt(g) == Scalar.from_int(fibonacci(length + 1))
+
+
+def test_eight_by_eight_grid_in_any_numbering():
+    rng = random.Random(37)
+    for numbering in ("row", "col", "shuffled", "shuffled"):
+        assert count_pm_fkt(grid_graph(8, 8, numbering, rng)) == \
+            Scalar.from_int(12_988_816)
 
 
 def test_long_path_counts_without_recursion():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,31 @@ def test_inverse_examples():
     half = Scalar.from_fraction(Fraction(1, 2))
     assert half.inverse() == Scalar.from_int(2)
     assert (ONE + I).inverse() == (ONE - I) / 2
+
+
+def _inverse_by_norm(a):
+    """The inverse from the three other Galois conjugates, table-free."""
+    w = a.galois(3) * a.galois(5) * a.galois(7)
+    return w / (a * w).as_fraction()
+
+
+def test_units_invert_by_table():
+    for k in range(8):
+        u = zeta_power(k)
+        assert u.inverse() == zeta_power(-k) == _inverse_by_norm(u)
+        assert repr(u.inverse()) == repr(_inverse_by_norm(u))
+        assert u * u.inverse() == ONE
+
+
+def test_non_units_invert_by_norm():
+    rng = random.Random(47)
+    pool = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3))
+    for _ in range(300):
+        a = Scalar.of(*(rng.choice(pool) for _ in range(4)))
+        if not a:
+            continue
+        assert a * a.inverse() == ONE
+        assert repr(a.inverse()) == repr(_inverse_by_norm(a))
 
 
 @given(scalars, scalars)
