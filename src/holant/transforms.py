@@ -87,9 +87,28 @@ DIAG_ZETA8 = Transform2x2.diagonal(ONE, ZETA8)
 
 
 def apply_matrix(f: Signature, m: Transform2x2) -> Signature:
-    """m applied to every input of f: the value vector of m^(tensor n) f."""
+    """m applied to every input of f: the value vector of m^(tensor n) f.
+
+    A matrix equal to H2 runs as the butterfly (v0 + v1, v0 - v1), with
+    no multiplications and no work on a pair with a zero side.
+    """
     n = f.arity
     values = list(f.values)
+    if m == H2:
+        for i in range(n):
+            stride = 1 << i
+            for base in range(0, 1 << n, stride << 1):
+                for idx in range(base, base + stride):
+                    v0, v1 = values[idx], values[idx + stride]
+                    if not v1:
+                        values[idx + stride] = v0
+                    elif not v0:
+                        values[idx] = v1
+                        values[idx + stride] = -v1
+                    else:
+                        values[idx] = v0 + v1
+                        values[idx + stride] = v0 - v1
+        return Signature(values)
     for i in range(n):
         stride = 1 << (n - 1 - i)
         out = list(values)

@@ -88,6 +88,60 @@ def pattern_of(f: Signature):
     return tuple(out)
 
 
+# -- independent oracle for the primitive decomposition ------------------------
+#
+# The split search: the block of x1 is the smallest set containing x1
+# (sizes, then lexicographic) whose flattening against the rest has rank
+# one, checked on every entry.  O(4^n) field operations.
+
+
+def _splits_off(f: Signature, smask: int, ref: int) -> bool:
+    """Rank-one test for the flattening that separates smask from the rest."""
+    n = f.arity
+    tmask = ((1 << n) - 1) ^ smask
+    fref = f[ref]
+    for beta in range(1 << n):
+        left = f[(beta & smask) | (ref & tmask)]
+        right = f[(ref & smask) | (beta & tmask)]
+        if f[beta] * fref != left * right:
+            return False
+    return True
+
+
+def decompose_by_split_search(f: Signature, labels=None):
+    """primitive_decomposition of a nonzero f of arity >= 1, by search."""
+    import itertools
+
+    from holant.classes import _slice
+
+    n = f.arity
+    if labels is None:
+        labels = tuple(range(1, n + 1))
+    if n == 1:
+        return [(labels, f)]
+    ref = min(f.support())
+    block = None
+    for size in range(1, n):
+        for rest in itertools.combinations(range(2, n + 1), size - 1):
+            cand = (1,) + rest
+            smask = 0
+            for p in cand:
+                smask |= 1 << (n - p)
+            if _splits_off(f, smask, ref):
+                block = cand
+                break
+        if block:
+            break
+    if block is None:
+        return [(labels, f)]
+    other = tuple(p for p in range(1, n + 1) if p not in block)
+    g = _slice(f, block, ref)
+    h = _slice(f, other, ref) / f[ref]
+    head = [(tuple(labels[p - 1] for p in block), g)]
+    return head + decompose_by_split_search(
+        h, tuple(labels[p - 1] for p in other))
+
+
 # -- random structured inputs --------------------------------------------------
 
 

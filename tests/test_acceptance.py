@@ -91,6 +91,28 @@ def test_hadamard_equality_of_arity_12_is_decided_quickly():
         assert is_hadamard_matchgate(equality(12)).member
 
 
+# -- product membership and classification -------------------------------------------
+
+
+def test_product_membership_at_arity_12_and_14_is_decided_quickly():
+    sparse = [ZERO] * (1 << 12)
+    sparse[0] = sparse[1] = sparse[-1] = ONE
+    with criterion("is_product on a sparse arity-12 non-member and =_14",
+                   1.0):
+        verdict = is_product(Signature(sparse))
+        assert not verdict
+        assert verdict.witness == {
+            "positions": tuple(range(1, 13)),
+            "reason": "factor support is not an antipodal pair",
+            "support": (0, 1, 4095)}
+        assert is_product(equality(14)).member
+
+
+def test_equality_of_arity_14_classifies_quickly():
+    with criterion("Pl-#CSP(=_14) is PTime", 4.0):
+        assert classify_pl_csp([equality(14)]).category == "PTime"
+
+
 # -- affine membership ---------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from _util import (
     SMALL_POOL,
     affine_pattern_set,
     bits_of,
+    decompose_by_split_search,
     pattern_of,
     rand_nonzero_signature,
     rand_signature,
@@ -175,6 +176,66 @@ def test_product_random_constructions():
         g = Signature([v * (I if (idx >> (n - 1)) & 1 else ONE)
                        for idx, v in enumerate(f.values)])
         assert is_product(g)
+
+
+def _planted_tensor(rng, n):
+    """Random nonzero blocks of size 1-3 on shuffled positions."""
+    positions = list(range(1, n + 1))
+    rng.shuffle(positions)
+    factors = []
+    while positions:
+        take = min(rng.randint(1, 3), len(positions))
+        block = tuple(sorted(positions[:take]))
+        del positions[:take]
+        factors.append((block, rand_nonzero_signature(rng, take)))
+    factors.sort(key=lambda t: t[0][0])
+    return reassemble(factors)
+
+
+def _sparse_signature(rng, n):
+    vals = [ZERO] * (1 << n)
+    for _ in range(rng.randint(1, 4)):
+        vals[rng.randrange(1 << n)] = rng.choice(SMALL_POOL[1:])
+    return Signature(vals)
+
+
+def _odd_signature(rng, n):
+    while True:
+        f = rand_signature(rng, n)
+        f = Signature([v if idx.bit_count() % 2 else ZERO
+                       for idx, v in enumerate(f.values)])
+        if not f.is_zero:
+            return f
+
+
+def test_primitive_decomposition_matches_the_split_search(monkeypatch):
+    import holant.classes as classes
+
+    rng = random.Random(90)
+    kinds = {
+        "dense": rand_nonzero_signature,
+        "sparse": _sparse_signature,
+        "planted": _planted_tensor,
+        "odd": _odd_signature,
+        "hadamard": lambda rng, n: apply_matrix(
+            rng.choice((_planted_tensor, _sparse_signature))(rng, n), H2),
+    }
+    cases = []
+    for n in range(1, 9):
+        for name, make in kinds.items():
+            for _ in range(5 if n < 8 else 2):
+                cases.append((name, make(rng, n)))
+    got = [(primitive_decomposition(f), is_product(f)) for _, f in cases]
+    monkeypatch.setattr(classes, "primitive_decomposition",
+                        decompose_by_split_search)
+    for (name, f), (blocks, product) in zip(cases, got):
+        assert blocks == decompose_by_split_search(f), (name, f)
+        want = is_product(f)
+        assert (product.member, product.factors, product.witness) == \
+            (want.member, want.factors, want.witness), (name, f)
+    # the seeded cases include splittable signatures, not only primitive ones
+    assert {name for (name, f), (blocks, _) in zip(cases, got)
+            if len(blocks) > 1 and f.arity > 3} >= {"planted", "sparse"}
 
 
 def _random_product_member(rng, n):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from _util import grid_graph
 from holant.cli import main
 from holant.fkt import PlanarGraph
 from holant.grids import CspInstance, SignatureGrid
@@ -324,6 +325,26 @@ def test_fkt_orients_a_connected_graph_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_fkt_traces_the_faces_of_a_grid_once(capsys, tmp_path, monkeypatch):
+    import holant._embedding
+    import holant.fkt
+
+    doc = put(tmp_path, "g.json", graph_to_json(grid_graph(4, 4)))
+    calls = []
+    trace = holant._embedding.trace_faces
+
+    def counting(rotations):
+        calls.append(rotations)
+        return trace(rotations)
+
+    for module in (holant._embedding, holant.fkt):
+        monkeypatch.setattr(module, "trace_faces", counting)
+    code, out = run(capsys, "fkt", doc)
+    assert code == 0
+    assert out["value"] == "36" and out["connected"] is True
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("vertices, value", [(0, "1"), (1, "0")])
 def test_fkt_edgeless_connected_graph(capsys, tmp_path, vertices, value):
     g = PlanarGraph(vertices, [], [()] * vertices)
@@ -448,6 +469,18 @@ def test_output_is_deterministic_and_key_sorted(capsys, tmp_path):
     second = capsys.readouterr().out
     assert first == second
     assert first.strip() == json.dumps(json.loads(first), sort_keys=True)
+
+
+def test_a_run_without_a_registry_leaves_hashlib_unloaded(tmp_path):
+    doc = put(tmp_path, "f.json", sig_doc([1, 0, 1]))
+    code = ("import sys; from holant.cli import main; "
+            f"main(['classify', {doc!r}]); "
+            "assert 'hashlib' not in sys.modules, 'hashlib was imported'")
+    # -S: no site hooks, which may import hashlib themselves
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["category"] == "PTime"
 
 
 def test_module_invocation_matches_in_process_output(capsys, tmp_path):

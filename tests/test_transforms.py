@@ -95,6 +95,33 @@ def test_apply_matrix_composes():
         assert apply_matrix(apply_matrix(f, t), s) == apply_matrix(f, s @ t)
 
 
+def test_hadamard_butterfly_matches_the_generic_loop(monkeypatch):
+    rng = random.Random(73)
+    # -H2 is not H2, so it runs the generic loop with multiplications
+    minus_h2 = Transform2x2(-1, -1, -1, 1)
+    cases = []
+    for n in range(9):
+        for _ in range(3):
+            f = rand_signature(rng, n)
+            expected = apply_matrix(f, minus_h2)
+            cases.append((f, expected if n % 2 == 0 else -expected))
+    products = []
+    multiply = Scalar.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    for f, expected in cases:
+        assert apply_matrix(f, H2) == expected
+        # an equal matrix built afresh takes the butterfly too, as does
+        # the row side of H2, whose transpose is H2
+        assert apply_matrix(f, Transform2x2(1, 1, 1, -1)) == expected
+        assert transform(f, H2, "row") == expected
+    assert products == []
+
+
 def test_hadamard_image_of_equalities():
     assert apply_matrix(equality(2), H2) == Signature([2, 0, 0, 2])
     img3 = apply_matrix(equality(3), H2)
