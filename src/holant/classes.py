@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ._gf2 import parity, rref
 from .scalar import I, ONE, ZERO, Scalar, zeta_power
-from .signatures import Signature, normalize, unary
+from .signatures import Signature, _reindex, normalize, unary
 from .transforms import H2, apply_matrix, scale_by_weight
 
 
@@ -54,23 +54,6 @@ def parity_of(f: Signature) -> str:
 
 
 # -- tensor factorization ----------------------------------------------------
-
-
-def _slice(f: Signature, keep, fixed_idx: int) -> Signature:
-    """Restrict to the positions in `keep`, others pinned to fixed_idx bits."""
-    n = f.arity
-    k = len(keep)
-    base = fixed_idx
-    for p in keep:
-        base &= ~(1 << (n - p))
-    values = []
-    for y in range(1 << k):
-        idx = base
-        for j, p in enumerate(keep):
-            if (y >> (k - 1 - j)) & 1:
-                idx |= 1 << (n - p)
-        values.append(f[idx])
-    return Signature(values)
 
 
 def _proportional(us, vs, u_ref, v_ref) -> bool:
@@ -162,8 +145,8 @@ def primitive_decomposition(f: Signature):
         here = tuple(labels.index(p) + 1 for p in block)
         other = tuple(p for p in range(1, f.arity + 1) if p not in here)
         ref = min(f.support())
-        out.append((block, _slice(f, here, ref)))
-        f = _slice(f, other, ref) / f[ref]
+        out.append((block, _reindex(f, here, ref)))
+        f = _reindex(f, other, ref) / f[ref]
         labels = tuple(labels[p - 1] for p in other)
     out.append((labels, f))
     return out
@@ -316,41 +299,21 @@ def compress(f: Signature, free=None) -> Signature:
     sup = affine_support(f)
     if sup is None:
         raise ValueError("support is not affine")
-    if free is not None and tuple(free) != sup.free:
-        sup = _with_free(f, sup, tuple(free))
-    k = len(sup.free)
-    return Signature([f[sup.full_index(y)] for y in range(1 << k)])
-
-
-def _with_free(f: Signature, sup: AffineSupport, free) -> AffineSupport:
-    """Re-parameterize an affine support over a caller-chosen free set."""
-    n = sup.arity
-    if len(free) != sup.dimension or any(not 1 <= p <= n for p in free):
+    free = sup.free if free is None else tuple(free)
+    n, k = f.arity, len(free)
+    if k != sup.dimension or any(not 1 <= p <= n for p in free):
         raise ValueError(f"{free} cannot parameterize this support")
-    k = len(free)
-    basis = list(sup.basis)
-    # Gaussian elimination restricted to the chosen columns
-    new_basis = []
-    for j, p in enumerate(free):
-        bit = 1 << (n - p)
-        pivot = next((r for r in basis if r & bit), None)
-        if pivot is None:
-            raise ValueError(f"{free} cannot parameterize this support")
-        basis.remove(pivot)
-        basis = [r ^ pivot if r & bit else r for r in basis]
-        new_basis = [r ^ pivot if r & bit else r for r in new_basis]
-        new_basis.append(pivot)
-    constraints = []
-    for q in range(1, n + 1):
-        if q in free:
-            continue
-        mask = 1 << (n - q)
-        for j, b in enumerate(new_basis):
-            if (b >> (n - q)) & 1:
-                mask |= 1 << (n - free[j])
-        constraints.append((mask, parity(mask & sup.point)))
-    return AffineSupport(n, sup.point, tuple(new_basis), tuple(free),
-                         tuple(constraints))
+    shifts = [n - p for p in free]
+    values = {}
+    for idx in f.support():
+        y = 0
+        for t in shifts:
+            y = (y << 1) | ((idx >> t) & 1)
+        values[y] = f[idx]
+    # 2^k support points: the projection is one-to-one iff it is onto
+    if len(values) != 1 << k:
+        raise ValueError(f"{free} cannot parameterize this support")
+    return Signature([values[y] for y in range(1 << k)])
 
 
 @dataclass(frozen=True)

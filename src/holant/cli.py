@@ -31,9 +31,10 @@ from .dichotomy import classify_csp, classify_pl_csp, \
 from .fkt import _count_and_orientation
 from .grids import SignatureGrid, gate_signature
 from .scalar import MINUS_ONE, ONE, ZERO, I, Scalar, scalar_to_json
-from .serialize import SchemaError, parse_csp, parse_grid, parse_graph, \
-    parse_registry, parse_signature, parse_transform, registry_hash, \
-    signature_to_json, transform_to_json, verdict_to_json
+from .serialize import NAMED_TRANSFORMS, SchemaError, parse_csp, \
+    parse_grid, parse_graph, parse_registry, parse_signature, \
+    parse_transform, registry_hash, signature_to_json, transform_to_json, \
+    verdict_to_json
 from .signatures import Signature
 from .transforms import apply_matrix, check_holant_invariance, transform
 
@@ -43,24 +44,23 @@ def _load_document(path):
         return json.load(fh)
 
 
-def _load_registry(args):
-    """Returns (name table or None, content hash or None)."""
-    if getattr(args, "registry", None) is None:
-        return None, None
-    reg = parse_registry(_load_document(args.registry))
-    return reg, registry_hash(reg)
-
-
-def _check_registry_pin(doc, reg_hash):
-    if not isinstance(doc, dict) or "registry_hash" not in doc:
-        return
-    if reg_hash is None:
-        raise ValueError(
-            "document pins a registry hash but no --registry was given")
-    if doc["registry_hash"] != reg_hash:
-        raise ValueError(
-            f"registry drift: document pins {doc['registry_hash']} "
-            f"but the registry hashes to {reg_hash}")
+def _load_input(args):
+    """The input document, the --registry table (or None) and its content
+    hash (or None); a registry hash pinned in the document must match."""
+    registry = reg_hash = None
+    if args.registry is not None:
+        registry = parse_registry(_load_document(args.registry))
+        reg_hash = registry_hash(registry)
+    doc = _load_document(args.input)
+    if isinstance(doc, dict) and "registry_hash" in doc:
+        if reg_hash is None:
+            raise ValueError(
+                "document pins a registry hash but no --registry was given")
+        if doc["registry_hash"] != reg_hash:
+            raise ValueError(
+                f"registry drift: document pins {doc['registry_hash']} "
+                f"but the registry hashes to {reg_hash}")
+    return doc, registry, reg_hash
 
 
 def _signature_list(doc, registry):
@@ -75,9 +75,7 @@ def _signature_list(doc, registry):
 
 
 def _classify_with(classifier, args):
-    registry, reg_hash = _load_registry(args)
-    doc = _load_document(args.input)
-    _check_registry_pin(doc, reg_hash)
+    doc, registry, reg_hash = _load_input(args)
     out = verdict_to_json(classifier(_signature_list(doc, registry)))
     if reg_hash is not None:
         out["registry_hash"] = reg_hash
@@ -100,9 +98,7 @@ def cmd_classify_csp2(args):
 
 
 def cmd_eval(args):
-    registry, reg_hash = _load_registry(args)
-    doc = _load_document(args.input)
-    _check_registry_pin(doc, reg_hash)
+    doc, registry, _ = _load_input(args)
     if not isinstance(doc, dict):
         raise SchemaError("", "expected a csp or grid object")
     if "vars" in doc:
@@ -119,9 +115,7 @@ def cmd_eval(args):
 
 
 def cmd_transform(args):
-    registry, reg_hash = _load_registry(args)
-    doc = _load_document(args.input)
-    _check_registry_pin(doc, reg_hash)
+    doc, registry, _ = _load_input(args)
     t = _matrix_argument(args.matrix)
     sigs = _signature_list(doc, registry)
     if args.side == "direct":
@@ -136,9 +130,7 @@ def cmd_transform(args):
 
 
 def cmd_gadget(args):
-    registry, reg_hash = _load_registry(args)
-    doc = _load_document(args.input)
-    _check_registry_pin(doc, reg_hash)
+    doc, registry, _ = _load_input(args)
     grid = parse_grid(doc, "grid", registry)
     f = gate_signature(grid)
     report = class_report(f)
@@ -194,9 +186,7 @@ def _seeded_bipartite_grid(rng: random.Random) -> SignatureGrid:
 def cmd_check_invariance(args):
     t = _matrix_argument(args.matrix)
     if args.input is not None:
-        registry, reg_hash = _load_registry(args)
-        doc = _load_document(args.input)
-        _check_registry_pin(doc, reg_hash)
+        doc, registry, _ = _load_input(args)
         grid = parse_grid(doc, "grid", registry)
         before, after, equal = check_holant_invariance(grid, t)
         return {
@@ -205,6 +195,9 @@ def cmd_check_invariance(args):
             "after": scalar_to_json(after),
             "equal": equal,
         }
+    if args.count < 0:
+        raise SchemaError("count",
+                          f"expected a non-negative count, got {args.count}")
     rng = random.Random(args.seed)
     equal = True
     for _ in range(args.count):
@@ -222,7 +215,7 @@ def cmd_check_invariance(args):
 
 
 def _matrix_argument(text: str):
-    if text in ("H2", "diag(1,i)", "diag(1,zeta8)"):
+    if text in NAMED_TRANSFORMS:
         return parse_transform(text)
     try:
         obj = json.loads(text)

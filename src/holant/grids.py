@@ -6,6 +6,9 @@ first edge (a rotation system), which is all the planarity the
 constructions ever need.  Edges left unmatched are dangling: they are the
 outer variables of an unfinished gate rather than summed over.
 
+The brute-force oracles are wirings of the enumeration kernel in
+`signatures`: a grid contracts its vertices over the edges, keeping the
+dangling ones, and a #CSP sums its constraints over the variable bits.
 This module also houses the two polynomial-time #CSP evaluators for the
 product and affine families, and the exact Vandermonde solver used by the
 interpolation harness.
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 from ._embedding import is_planar_embedding
 from .classes import is_affine, is_product
 from .scalar import ONE, SQRT2, ZERO, ZETA8, Scalar, i_power
-from .signatures import ARITY_CAP, Signature, equality
+from .signatures import ARITY_CAP, Signature, _contract, _sum_products, \
+    equality
 
 #: Brute force refuses beyond these sizes instead of degrading.
 EDGE_CAP = 24
@@ -151,49 +155,17 @@ class SignatureGrid:
                 f"{len(self.dangling)} dangling)")
 
 
-def _sum_products(num_bits, tables, k=0):
-    """The enumeration kernel behind every brute-force sum.
-
-    Sums, over all assignments a of `num_bits` bits, the product of
-    values[index] across `tables`, where each (positions, values) entry
-    reads its index from the bits of a at `positions`, first position
-    most significant.  Returns the 2^k sums split by the low k bits of a.
-    """
-    out = [ZERO] * (1 << k)
-    low = (1 << k) - 1
-    for a in range(1 << num_bits):
-        prod = ONE
-        for positions, values in tables:
-            idx = 0
-            for p in positions:
-                idx = (idx << 1) | ((a >> p) & 1)
-            val = values[idx]
-            if not val:
-                prod = None
-                break
-            prod = prod * val
-        if prod is not None:
-            out[a & low] = out[a & low] + prod
-    return out
-
-
 def _grid_sums(grid: SignatureGrid):
-    """Kernel sums over all edge assignments, split by the dangling edges.
+    """Sums over all edge assignments, split by the dangling edges.
 
-    Refuses beyond EDGE_CAP edges.  Dangling edge j takes bit k-1-j, so
-    slot y pins it to bit j of y counted from the top (x1 first);
-    internal edges take the higher bits.
+    Refuses beyond EDGE_CAP edges.  Slot y pins dangling edge j to bit j
+    of y counted from the top (x1 first).
     """
     m = len(grid.edge_ids)
     if m > EDGE_CAP:
         raise ValueError(f"{m} edges exceeds the brute-force cap of {EDGE_CAP}")
-    dang = set(grid.dangling)
-    order = list(reversed(grid.dangling)) + [
-        e for e in grid.edge_ids if e not in dang]
-    bit = {e: j for j, e in enumerate(order)}
-    tables = [(tuple(bit[e] for e in v.edges), v.signature.values)
-              for v in grid.vertices]
-    return _sum_products(len(order), tables, len(dang))
+    return _contract([(v.signature, v.edges) for v in grid.vertices],
+                     grid.dangling)
 
 
 def brute_force_holant(grid: SignatureGrid) -> Scalar:

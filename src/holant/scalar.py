@@ -307,8 +307,10 @@ def i_power(k: int) -> Scalar:
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    q = Fraction(text)
-    return q
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_scalar(obj) -> Scalar:

@@ -9,6 +9,14 @@ Variable positions in this module are 1-based (x1..xn), matching the
 way gates are drawn: the inputs of a vertex are numbered counterclockwise
 starting from a marked first edge.  Container indices elsewhere in the
 package (vertex ids, edge ids) stay 0-based.
+
+Two private kernels are the only code that turns variable positions into
+table indices.  `_contract` sums a product of tables over every
+assignment of named wires, keeping the output wires; `_reindex` reads a
+table at a list of positions with the rest pinned.  Each operator is one
+wiring of one of them: tensor, derivative, connect_unary, connect_binary
+and link contract; pin, rotate and the matrix view re-index.  Only
+flip_var, which negates an input, keeps a loop of its own.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ class Signature:
         n = len(entries) - 1
         if n < 0:
             raise ValueError("symmetric form needs at least one entry")
+        if n > ARITY_CAP:
+            raise ValueError(f"arity {n} exceeds the cap of {ARITY_CAP}")
         return cls([entries[bin(idx).count("1")] for idx in range(1 << n)])
 
     # -- access ------------------------------------------------------------
@@ -171,6 +181,70 @@ def crossover() -> Signature:
     return Signature(values)
 
 
+# -- the two kernels ---------------------------------------------------------
+
+
+def _sum_products(num_bits, tables, k=0):
+    """The enumeration kernel behind every contraction.
+
+    Sums, over all assignments a of `num_bits` bits, the product of
+    values[index] across `tables`, where each (positions, values) entry
+    reads its index from the bits of a at `positions`, first position
+    most significant.  Returns the 2^k sums split by the low k bits of a.
+    An assignment stops at its first zero value, a product starts from
+    the first table's value (ONE when there are no tables), and a slot
+    keeps its first term as it is.
+    """
+    out = [None] * (1 << k)
+    low = (1 << k) - 1
+    for a in range(1 << num_bits):
+        prod = None
+        for positions, values in tables:
+            idx = 0
+            for p in positions:
+                idx = (idx << 1) | ((a >> p) & 1)
+            val = values[idx]
+            if not val:
+                break
+            prod = val if prod is None else prod * val
+        else:
+            if prod is None:
+                prod = ONE
+            slot = a & low
+            acc = out[slot]
+            out[slot] = prod if acc is None else acc + prod
+    return [ZERO if v is None else v for v in out]
+
+
+def _contract(parts, outputs):
+    """Sum of products over every assignment of the named wires.
+
+    `parts` lists (signature, wire names), one name per input; a wire
+    named more than once carries one shared value.  Wires not in
+    `outputs` are summed out, and entry y of the returned value list
+    holds the assignments whose `outputs` spell y, first output most
+    significant.
+    """
+    bit = {w: j for j, w in enumerate(reversed(outputs))}
+    for _, wires in parts:
+        for w in wires:
+            bit.setdefault(w, len(bit))
+    tables = [(tuple(bit[w] for w in wires), f.values) for f, wires in parts]
+    return _sum_products(len(bit), tables, len(outputs))
+
+
+def _reindex(f: Signature, positions, fixed: int = 0) -> Signature:
+    """Restrict f to `positions`, in that order, the others pinned to the
+    bits of the index `fixed`."""
+    n = f.arity
+    idxs = [fixed]
+    for p in positions:
+        bit = 1 << (n - p)
+        idxs = [i for i0 in idxs for i in (i0 & ~bit, i0 | bit)]
+    values = f.values
+    return Signature([values[i] for i in idxs])
+
+
 # -- operators ---------------------------------------------------------------
 
 
@@ -194,17 +268,8 @@ def tensor(f: Signature, g: Signature, f_positions=None) -> Signature:
     if f_positions and not (1 <= f_positions[0] and f_positions[-1] <= n):
         raise ValueError("f_positions out of range")
     g_positions = [p for p in range(1, n + 1) if p not in set(f_positions)]
-
-    values = []
-    for idx in range(1 << n):
-        fi = 0
-        for p in f_positions:
-            fi = (fi << 1) | ((idx >> (n - p)) & 1)
-        gi = 0
-        for p in g_positions:
-            gi = (gi << 1) | ((idx >> (n - p)) & 1)
-        values.append(f[fi] * g[gi])
-    return Signature(values)
+    return Signature(_contract([(f, f_positions), (g, g_positions)],
+                               range(1, n + 1)))
 
 
 def pin(f: Signature, i: int, b: int) -> Signature:
@@ -214,14 +279,7 @@ def pin(f: Signature, i: int, b: int) -> Signature:
         raise ValueError(f"no variable x{i} in an arity-{n} signature")
     if b not in (0, 1):
         raise ValueError("pinned value must be 0 or 1")
-    low_width = n - i
-    low_mask = (1 << low_width) - 1
-    values = []
-    for ridx in range(1 << (n - 1)):
-        high = ridx >> low_width
-        low = ridx & low_mask
-        values.append(f[(high << (low_width + 1)) | (b << low_width) | low])
-    return Signature(values)
+    return _reindex(f, [p for p in range(1, n + 1) if p != i], b << (n - i))
 
 
 def derivative(f: Signature, g: Signature, position: int = 1) -> Signature:
@@ -240,26 +298,8 @@ def derivative(f: Signature, g: Signature, position: int = 1) -> Signature:
         raise ValueError(f"position {position} out of range for arity {n}")
     matched = [((position - 1 - j - 1) % n) + 1 for j in range(m)]
     remaining = [((position + t - 1) % n) + 1 for t in range(n - m)]
-
-    values = []
-    for ridx in range(1 << (n - m)):
-        total = ZERO
-        base = 0
-        for t, p in enumerate(remaining):
-            if (ridx >> (n - m - 1 - t)) & 1:
-                base |= 1 << (n - p)
-        for z in range(1 << m):
-            fidx = base
-            for j, p in enumerate(matched):
-                if (z >> (m - 1 - j)) & 1:
-                    fidx |= 1 << (n - p)
-            fv = f[fidx]
-            if fv:
-                gv = g[z]
-                if gv:
-                    total = total + fv * gv
-        values.append(total)
-    return Signature(values)
+    return Signature(_contract([(f, range(1, n + 1)), (g, matched)],
+                               remaining))
 
 
 def derivative_power(f: Signature, g: Signature, k: int) -> Signature:
@@ -277,14 +317,9 @@ def connect_unary(f: Signature, u: Signature, indices) -> Signature:
     n = f.arity
     if indices and not (1 <= indices[0] and indices[-1] <= n):
         raise ValueError("variable index out of range")
-    # contract highest position first so lower positions keep their labels
-    for i in reversed(indices):
-        n_cur = f.arity
-        # one unary on edge i leaves the order i+1..n,1..i-1; rotating
-        # right by i-1 restores 1..i-1,i+1..n
-        h = derivative(f, u, position=(i % n_cur) + 1)
-        f = rotate(h, i - 1) if i > 1 else h
-    return f
+    rest = [p for p in range(1, n + 1) if p not in indices]
+    return Signature(_contract(
+        [(f, range(1, n + 1))] + [(u, (i,)) for i in indices], rest))
 
 
 def connect_binary(f: Signature, i: int, g: Signature) -> Signature:
@@ -299,13 +334,9 @@ def connect_binary(f: Signature, i: int, g: Signature) -> Signature:
     n = f.arity
     if not 1 <= i <= n:
         raise ValueError(f"no variable x{i} in an arity-{n} signature")
-    bit = 1 << (n - i)
-    out = []
-    for idx in range(1 << n):
-        xi = 1 if idx & bit else 0
-        total = f[idx & ~bit] * g[xi] + f[idx | bit] * g[2 | xi]
-        out.append(total)
-    return Signature(out)
+    # wire 0 is the edge between f and g
+    f_wires = [0 if p == i else p for p in range(1, n + 1)]
+    return Signature(_contract([(f, f_wires), (g, (0, i))], range(1, n + 1)))
 
 
 def rotate(f: Signature, steps: int = 1) -> Signature:
@@ -313,16 +344,7 @@ def rotate(f: Signature, steps: int = 1) -> Signature:
     n = f.arity
     if n == 0:
         return f
-    steps %= n
-    if steps == 0:
-        return f
-    mask = (1 << n) - 1
-    values = list(f.values)
-    out = [ZERO] * (1 << n)
-    for idx in range(1 << n):
-        fidx = ((idx << steps) & mask) | (idx >> (n - steps))
-        out[idx] = values[fidx]
-    return Signature(out)
+    return _reindex(f, [(p - 1 - steps) % n + 1 for p in range(1, n + 1)])
 
 
 def flip_var(f: Signature, i: int) -> Signature:
@@ -377,37 +399,25 @@ class SignatureMatrix:
     def to_signature(self) -> Signature:
         rows, cols = self.shape
         k = rows.bit_length() - 1
-        nk = cols.bit_length() - 1
-        n = k + nk
-        values = []
-        for idx in range(1 << n):
-            r = idx >> nk
-            suffix = idx & ((1 << nk) - 1)
-            c = 0
-            for j in range(nk):
-                c = (c << 1) | ((suffix >> j) & 1)
-            values.append(self.rows[r][c])
-        return Signature(values)
+        n = k + cols.bit_length() - 1
+        flat = Signature([v for row in self.rows for v in row])
+        return _reindex(flat, _matrix_order(k, n))
+
+
+def _matrix_order(k: int, n: int) -> list:
+    """Positions x1..xk, xn..x(k+1): the row-then-column order of the
+    matrix view, which is its own inverse."""
+    return list(range(1, k + 1)) + list(range(n, k, -1))
 
 
 def signature_matrix(f: Signature, split: int) -> SignatureMatrix:
     n = f.arity
     if not 0 <= split <= n:
         raise ValueError("split out of range")
-    nk = n - split
-    rows = []
-    for r in range(1 << split):
-        row = []
-        for c in range(1 << nk):
-            # column bits are x_n .. x_{k+1}, so bit t of c (from the MSB)
-            # is variable x_{n-t}, which sits at bit t of the row index
-            suffix = 0
-            for t in range(nk):
-                if (c >> (nk - 1 - t)) & 1:
-                    suffix |= 1 << t
-            row.append(f[(r << nk) | suffix])
-        rows.append(tuple(row))
-    return SignatureMatrix(split, tuple(rows))
+    cols = 1 << (n - split)
+    flat = _reindex(f, _matrix_order(split, n)).values
+    return SignatureMatrix(split, tuple(
+        flat[r:r + cols] for r in range(0, len(flat), cols)))
 
 
 def link(f: Signature, g: Signature) -> Signature:
@@ -418,4 +428,6 @@ def link(f: Signature, g: Signature) -> Signature:
     """
     if f.arity != 4 or g.arity != 4:
         raise ValueError("link is defined for arity-4 signatures")
-    return (signature_matrix(f, 2) @ signature_matrix(g, 2)).to_signature()
+    # wires 5 and 6 are the two joined edges
+    return Signature(_contract([(f, (1, 2, 5, 6)), (g, (6, 5, 3, 4))],
+                               (1, 2, 3, 4)))

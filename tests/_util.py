@@ -112,7 +112,7 @@ def decompose_by_split_search(f: Signature, labels=None):
     """primitive_decomposition of a nonzero f of arity >= 1, by search."""
     import itertools
 
-    from holant.classes import _slice
+    from holant.signatures import _reindex
 
     n = f.arity
     if labels is None:
@@ -135,8 +135,8 @@ def decompose_by_split_search(f: Signature, labels=None):
     if block is None:
         return [(labels, f)]
     other = tuple(p for p in range(1, n + 1) if p not in block)
-    g = _slice(f, block, ref)
-    h = _slice(f, other, ref) / f[ref]
+    g = _reindex(f, block, ref)
+    h = _reindex(f, other, ref) / f[ref]
     head = [(tuple(labels[p - 1] for p in block), g)]
     return head + decompose_by_split_search(
         h, tuple(labels[p - 1] for p in other))

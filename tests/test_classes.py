@@ -296,6 +296,13 @@ def test_compress_with_chosen_free_set():
     assert compress(g, free=(2,)) == Signature([1, I])
     with pytest.raises(ValueError):
         compress(g, free=(1, 2))
+    with pytest.raises(ValueError, match="cannot parameterize"):
+        compress(g, free=(3,))
+    # support {x2 = x3}: (x1, x3) parameterizes it, (x2, x3) does not
+    h = Signature([1, 0, 0, 2, 3, 0, 0, 4])
+    assert compress(h, free=(1, 3)) == Signature([1, 2, 3, 4])
+    with pytest.raises(ValueError, match="cannot parameterize"):
+        compress(h, free=(2, 3))
 
 
 def test_compress_round_trip_values():

@@ -377,6 +377,13 @@ def test_check_invariance_seeded_mode(capsys):
     assert out["seed"] == 0
 
 
+def test_check_invariance_rejects_a_negative_count(capsys):
+    code, out = run(capsys, "check-invariance", "--count", "-1")
+    assert code == 2
+    assert out["error"]["kind"] == "parse"
+    assert out["error"]["path"] == "count"
+
+
 # -- registries ---------------------------------------------------------------------
 
 
@@ -450,6 +457,15 @@ def test_schema_violations_carry_paths(capsys, tmp_path):
     doc = put(tmp_path, "l.json", [1, 2])
     code, out = run(capsys, "eval", doc)
     assert code == 2
+
+
+def test_zero_denominator_is_a_parse_error_naming_the_literal(capsys,
+                                                            tmp_path):
+    doc = put(tmp_path, "f.json", {"signatures": [{"symmetric": ["1/0", 1]}]})
+    code, out = run(capsys, "classify", doc)
+    assert code == 2
+    assert out["error"] == {"kind": "parse", "path": "signatures[0].symmetric[0]",
+                            "message": "zero denominator in '1/0'"}
 
 
 def test_output_flag_duplicates_stdout(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -58,6 +59,11 @@ def test_arity_cap():
         Signature([ZERO] * (1 << 17))
     with pytest.raises(ValueError):
         Signature([ZERO] * 3)
+    # the symmetric form is refused before its 2^22 entries are built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="arity 22 exceeds the cap of 16"):
+        Signature.from_symmetric([1] * 23)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_support():
@@ -88,14 +94,16 @@ def test_tensor_default_order():
 
 def test_tensor_against_pointwise_oracle():
     rng = random.Random(7)
-    for _ in range(25):
-        f = rand_signature(rng, 2)
-        g = rand_signature(rng, 1)
-        pos = rng.choice([(1, 2), (1, 3), (2, 3)])
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        k = rng.randint(0, n)
+        f = rand_signature(rng, k)
+        g = rand_signature(rng, n - k)
+        pos = tuple(sorted(rng.sample(range(1, n + 1), k)))
         h = tensor(f, g, f_positions=pos)
-        gpos = [p for p in (1, 2, 3) if p not in pos]
-        for idx in range(8):
-            bits = bits_of(idx, 3)
+        gpos = [p for p in range(1, n + 1) if p not in pos]
+        for idx in range(1 << n):
+            bits = bits_of(idx, n)
             fb = tuple(bits[p - 1] for p in pos)
             gb = tuple(bits[p - 1] for p in gpos)
             assert h[bits] == f[fb] * g[gb]
@@ -112,8 +120,8 @@ def test_tensor_rejects_bad_interleavings():
 
 def test_pin_matches_definition():
     rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 4)
+    for _ in range(30):
+        n = rng.randint(1, 8)
         f = rand_signature(rng, n)
         i = rng.randint(1, n)
         b = rng.randint(0, 1)
@@ -168,13 +176,14 @@ def test_derivative_peels_equality():
 
 def test_derivative_matches_oracle():
     rng = random.Random(11)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, n)
-        f = rand_signature(rng, n)
-        g = rand_signature(rng, m)
-        position = rng.randint(1, n)
-        assert derivative(f, g, position) == contract_oracle(f, g, position)
+    for n in range(1, 9):
+        for m in sorted({1, rng.randint(1, n), n}):
+            f = rand_signature(rng, n)
+            g = rand_signature(rng, m)
+            # every position, so g's edges wrap around past x1 too
+            for position in range(1, n + 1):
+                assert derivative(f, g, position) == \
+                    contract_oracle(f, g, position)
 
 
 def test_derivative_full_contraction():
@@ -203,7 +212,7 @@ def test_connect_unary_equals_pin():
 def test_connect_unary_on_index_set():
     rng = random.Random(17)
     for _ in range(20):
-        n = rng.randint(2, 4)
+        n = rng.randint(2, 7)
         f = rand_signature(rng, n)
         u = rand_signature(rng, 1)
         count = rng.randint(1, n)
@@ -272,11 +281,14 @@ def test_rotate_order():
 
 def test_rotate_definition():
     rng = random.Random(29)
-    f = rand_signature(rng, 4)
-    g = rotate(f)
-    for idx in range(16):
-        b = bits_of(idx, 4)
-        assert g[b] == f[(b[1], b[2], b[3], b[0])]
+    for n in range(9):
+        f = rand_signature(rng, n)
+        for steps in (1, 2, -1, -3, n + 1):
+            g = rotate(f, steps)
+            for idx in range(1 << n):
+                b = bits_of(idx, n)
+                # g(x1..xn) = f(x(1+steps), ..., xn, x1, ...), indices mod n
+                assert g[b] == f[tuple(b[(t + steps) % n] for t in range(n))]
 
 
 def test_flip_var():
@@ -306,6 +318,20 @@ def test_signature_matrix_convention():
     t = signature_matrix(f, 1)
     assert t.shape == (2, 8)
     assert t.to_signature() == f
+
+    for n in range(7):
+        f = rand_signature(rng, n)
+        for split in range(n + 1):
+            m = signature_matrix(f, split)
+            assert m.shape == (1 << split, 1 << (n - split))
+            for idx in range(1 << n):
+                b = bits_of(idx, n)
+                # columns read the suffix reversed: xn is the top bit
+                c = 0
+                for x in reversed(b[split:]):
+                    c = (c << 1) | x
+                assert m.rows[idx >> (n - split)][c] == f[idx]
+            assert m.to_signature() == f
 
 
 def test_crossover_matrix():
@@ -359,8 +385,8 @@ def test_scaling_and_sum():
 
 def test_connect_binary_oracle():
     rng = random.Random(47)
-    for _ in range(20):
-        n = rng.randint(1, 4)
+    for _ in range(30):
+        n = rng.randint(1, 8)
         f = rand_signature(rng, n)
         g = rand_signature(rng, 2)
         i = rng.randint(1, n)
