@@ -13,9 +13,9 @@ basis changes:
   whose cross terms are all even;
 * perfect-matching realizable: signatures passing the parity condition
   and the full family of matching identities.  Membership is decided by
-  the equivalent Pfaffian form in O(2^n n) field operations; the
-  O(4^n n) identity scan runs only on a rejected signature, to find the
-  first violated identity as its witness.
+  the equivalent Pfaffian form in O(2^n n) field operations, and the
+  first entry that breaks the form names a violated identity as the
+  witness of a rejected signature.
 
 The transformed variants twist by diag(1, w) for small roots of unity or
 by the Hadamard matrix before testing.  All membership predicates here
@@ -24,7 +24,6 @@ are exact and scale-invariant, and failures carry a witness.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from ._gf2 import parity, rref
@@ -413,7 +412,7 @@ def is_affine(f: Signature) -> AffineAnalysis:
         return AffineAnalysis(
             False, reason="support is not an affine subspace",
             witness={"support": tuple(sorted(g.support()))})
-    comp = compress(g, sup.free)
+    comp = Signature([g[idx] for idx in sup.points()])
     poly = z4_polynomial(comp)
     k = len(sup.free)
     for mask, c in poly.coefficients:
@@ -455,10 +454,12 @@ def is_matchgate(f: Signature) -> MatchgateAnalysis:
     one skew matrix: f(a0 ^ x) / f(a0) = Pf(A[x]) with
     A_ij = f(a0 ^ e_i ^ e_j) / f(a0) (Cai and Gorenstein, "Matchgates
     revisited", 2014).  That decides membership in O(2^n n) field
-    operations.  Only a rejected f runs the identity scan, which finds
-    the witness: patterns in ascending order and position vectors in
-    (length, lexicographic) order, so the reported witness is the first
-    violated identity in that order.  The identities imply the parity
+    operations.  The witness of a rejected f comes from the same pass.
+    Let x be the first mask that fails and p its lowest position.  Every
+    smaller minor matched, so the identity with pattern a0 ^ e_p on the
+    positions of x equals f(a0)^2 (Pf(A[x]) - f(a0 ^ x) / f(a0)), the
+    expansion along p less the failing entry: it is violated.  Its value
+    is evaluated directly on f.  The identities imply the parity
     condition, but checking parity first gives cheaper witnesses.
     """
     par = parity_of(f)
@@ -468,29 +469,38 @@ def is_matchgate(f: Signature) -> MatchgateAnalysis:
         return MatchgateAnalysis(False, par,
                                  reason="support mixes parities",
                                  witness={"even": evens[0], "odd": odds[0]})
-    if par == "zero" or _pfaffian_form_holds(f):
+    if par == "zero":
         return MatchgateAnalysis(True, par)
-    witness = _first_violated_identity(f)
-    if witness is None:
-        raise RuntimeError("the Pfaffian form rejects a signature that "
-                           "satisfies every matching identity")
+    a0 = min(f.support())
+    x = _pfaffian_form_violation(f, a0)
+    if x is None:
+        return MatchgateAnalysis(True, par)
+    n = f.arity
+    pattern = a0 ^ (1 << (x.bit_length() - 1))
+    positions = tuple(p for p in range(1, n + 1) if (x >> (n - p)) & 1)
+    acc = ZERO
+    for j, p in enumerate(positions):
+        e = 1 << (n - p)
+        term = f[pattern ^ e] * f[pattern ^ x ^ e]
+        acc = acc - term if j % 2 == 0 else acc + term
     return MatchgateAnalysis(False, par, reason="matching identity violated",
-                             witness=witness)
+                             witness={"pattern": pattern,
+                                      "positions": positions,
+                                      "value": str(acc)})
 
 
-def _pfaffian_form_holds(f: Signature) -> bool:
-    """Does f(a0 ^ x) / f(a0) equal Pf(A[x]) for every x?
+def _pfaffian_form_violation(f: Signature, a0: int):
+    """The first mask x with f(a0 ^ x) / f(a0) != Pf(A[x]), or None.
 
-    a0 is the least support point, and x ranges over all 2^n index masks,
-    so that no entry goes unchecked.  pf[x] is the Pfaffian of A on the
-    positions in x (position p is bit n - p), expanded along the lowest
-    position, which is the highest bit of x: the partner at rank r, with
-    the lowest position at rank 0, carries the sign (-1)^(r+1).  The
-    minor x ^ top ^ b is numerically below x, so ascending order has it
-    ready.
+    a0 is a support point, and x ranges over all 2^n index masks, in
+    ascending order, so that no entry goes unchecked.  pf[x] is the
+    Pfaffian of A on the positions in x (position p is bit n - p),
+    expanded along the lowest position, which is the highest bit of x:
+    the partner at rank r, with the lowest position at rank 0, carries
+    the sign (-1)^(r+1).  The minor x ^ top ^ b is numerically below x,
+    so ascending order has it ready.
     """
     vals = f.values
-    a0 = min(f.support())
     inv = vals[a0].inverse()
     pf = [ZERO] * len(vals)
     pf[0] = ONE
@@ -518,40 +528,7 @@ def _pfaffian_form_holds(f: Signature) -> bool:
                 plus = not plus
             pf[x] = acc
         if entry != pf[x]:
-            return False
-    return True
-
-
-def _first_violated_identity(f: Signature):
-    """Scan every matching identity; the first violated one, or None.
-
-    Returns the witness {"pattern", "positions", "value"} of the first
-    violated identity, patterns in ascending order and position vectors
-    in (length, lexicographic) order.  O(4^n n) field operations.
-    """
-    n = f.arity
-    vals = f.values
-    ebits = [0] + [1 << (n - p) for p in range(1, n + 1)]
-    for alpha in range(1 << n):
-        for ell in range(1, n + 1):
-            for pvec in itertools.combinations(range(1, n + 1), ell):
-                pmask = 0
-                for p in pvec:
-                    pmask |= ebits[p]
-                acc = ZERO
-                shifted = alpha ^ pmask
-                for j, p in enumerate(pvec):
-                    a = vals[alpha ^ ebits[p]]
-                    if not a:
-                        continue
-                    b = vals[shifted ^ ebits[p]]
-                    if not b:
-                        continue
-                    term = a * b
-                    acc = acc - term if j % 2 == 0 else acc + term
-                if acc:
-                    return {"pattern": alpha, "positions": pvec,
-                            "value": str(acc)}
+            return x
     return None
 
 

@@ -142,6 +142,49 @@ def decompose_by_split_search(f: Signature, labels=None):
         h, tuple(labels[p - 1] for p in other))
 
 
+# -- independent oracle for the matchgate family -------------------------------
+#
+# The identity scan: every matching identity, patterns in ascending order
+# and position vectors in (length, lexicographic) order.  O(4^n n) field
+# operations.
+
+
+def identity_value(f: Signature, pattern: int, positions) -> Scalar:
+    """The matching identity with this pattern on these positions:
+    the sum over j of (-1)^j f(pattern ^ e_pj) f(pattern ^ e_P ^ e_pj),
+    j counted from 1 and e_P the mask of all the positions."""
+    n = f.arity
+    pmask = 0
+    for p in positions:
+        pmask |= 1 << (n - p)
+    acc = ZERO
+    for j, p in enumerate(positions):
+        e = 1 << (n - p)
+        a = f[pattern ^ e]
+        if not a:
+            continue
+        b = f[pattern ^ pmask ^ e]
+        if b:
+            acc = acc - a * b if j % 2 == 0 else acc + a * b
+    return acc
+
+
+def first_violated_identity(f: Signature):
+    """The first violated identity as {"pattern", "positions", "value"},
+    or None when f satisfies every one."""
+    import itertools
+
+    n = f.arity
+    for pattern in range(1 << n):
+        for ell in range(1, n + 1):
+            for positions in itertools.combinations(range(1, n + 1), ell):
+                value = identity_value(f, pattern, positions)
+                if value:
+                    return {"pattern": pattern, "positions": positions,
+                            "value": str(value)}
+    return None
+
+
 # -- random structured inputs --------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from _util import (
     fibonacci,
     grid_graph,
+    identity_value,
     rand_affine_signature,
     rand_csp,
     rand_product_signature,
@@ -111,6 +112,31 @@ def test_product_membership_at_arity_12_and_14_is_decided_quickly():
 def test_equality_of_arity_14_classifies_quickly():
     with criterion("Pl-#CSP(=_14) is PTime", 4.0):
         assert classify_pl_csp([equality(14)]).category == "PTime"
+
+
+def _high_weight_non_matchgate(n):
+    """f(1...1) = 1 and the distinct integers 2, 3, ... on the weight
+    n - 2 points: every violated identity has a pattern of high weight."""
+    vals = [ZERO] * (1 << n)
+    vals[-1] = ONE
+    weight_n_2 = [i for i in range(1 << n) if i.bit_count() == n - 2]
+    for k, i in enumerate(weight_n_2, start=2):
+        vals[i] = Scalar.from_int(k)
+    return Signature(vals)
+
+
+def test_hadamard_non_matchgate_of_arity_14_classifies_with_witness():
+    preimage = apply_matrix(_high_weight_non_matchgate(14), H2)
+    with criterion("Pl-#CSP of an arity-14 non-matchgate preimage is "
+                   "SharpPHard, with witness", 1.0):
+        verdict = classify_pl_csp([preimage])
+    assert verdict.category == "SharpPHard"
+    failed = verdict.witnesses["hadamard_matchgate"]
+    assert failed["reason"] == "matching identity violated"
+    w = failed["witness"]
+    value = identity_value(apply_matrix(failed["signature"], H2),
+                           w["pattern"], w["positions"])
+    assert value and str(value) == w["value"]
 
 
 # -- affine membership ---------------------------------------------------------------

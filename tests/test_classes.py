@@ -8,12 +8,13 @@ from _util import (
     affine_pattern_set,
     bits_of,
     decompose_by_split_search,
+    first_violated_identity,
+    identity_value,
     pattern_of,
     rand_nonzero_signature,
     rand_signature,
 )
 from holant.classes import (
-    _first_violated_identity,
     affine_support,
     class_report,
     compress,
@@ -411,6 +412,21 @@ def test_affine_standard_members():
     assert not is_affine(Signature.from_symmetric([0, 1, 1, 1]))
 
 
+def test_is_affine_finds_the_support_once(monkeypatch):
+    import holant.classes as classes
+
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return affine_support(f)
+
+    monkeypatch.setattr(classes, "affine_support", counted)
+    res = is_affine(equality(5))
+    assert res and len(calls) == 1
+    assert res.polynomial == z4_polynomial(compress(equality(5)))
+
+
 def test_affine_scale_invariance():
     rng = random.Random(29)
     scales = [Scalar.from_int(3), SQRT2, ONE + I, zeta_power(5)]
@@ -505,8 +521,8 @@ def test_matchgate_witness():
     res4 = is_matchgate(Signature.from_symmetric([1, 0, 1, 0, 1]) + crossover())
     assert not res4 and res4.parity == "even"
     assert res4.reason == "matching identity violated"
-    assert res4.witness == {"pattern": 1, "positions": (1, 2, 3, 4),
-                            "value": "6"}
+    assert res4.witness == {"pattern": 8, "positions": (1, 2, 3, 4),
+                            "value": "-6"}
 
 
 def _planted_matchgate(rng, n):
@@ -530,10 +546,10 @@ def _planted_matchgate(rng, n):
 
 
 def _check_against_identity_scan(f):
-    """Assert that is_matchgate agrees with the full identity scan, down
-    to the witness; return the verdict."""
+    """Assert that is_matchgate agrees with the full identity scan, and
+    that a reported identity witness is violated; return the verdict."""
     res = is_matchgate(f)
-    scan = _first_violated_identity(f)
+    scan = first_violated_identity(f)
     values = [str(v) for v in f.values]
     if parity_of(f) == "none":
         # the identities imply parity; the parity witness comes first
@@ -543,7 +559,9 @@ def _check_against_identity_scan(f):
         assert res.member and res.witness is None, values
     else:
         assert not res and res.reason == "matching identity violated", values
-        assert res.witness == scan, values
+        w = res.witness
+        value = identity_value(f, w["pattern"], w["positions"])
+        assert value and str(value) == w["value"], values
     return res.member
 
 
