@@ -31,8 +31,8 @@ from .dichotomy import classify_csp, classify_pl_csp, \
 from .fkt import _count_and_orientation
 from .grids import SignatureGrid, gate_signature
 from .scalar import MINUS_ONE, ONE, ZERO, I, Scalar, scalar_to_json
-from .serialize import NAMED_TRANSFORMS, SchemaError, parse_csp, \
-    parse_grid, parse_graph, parse_registry, parse_signature, \
+from .serialize import NAMED_TRANSFORMS, SchemaError, _expect_count, \
+    parse_csp, parse_grid, parse_graph, parse_registry, parse_signature, \
     parse_transform, registry_hash, signature_to_json, transform_to_json, \
     verdict_to_json
 from .signatures import Signature
@@ -195,9 +195,7 @@ def cmd_check_invariance(args):
             "after": scalar_to_json(after),
             "equal": equal,
         }
-    if args.count < 0:
-        raise SchemaError("count",
-                          f"expected a non-negative count, got {args.count}")
+    _expect_count(args.count, "count")
     rng = random.Random(args.seed)
     equal = True
     for _ in range(args.count):

@@ -38,8 +38,8 @@ from .classes import (
     is_twisted_hadamard_matchgate,
 )
 from .fkt import builtin_fragment, evaluate_matchgate_grid
-from .grids import CspInstance, brute_force_csp, brute_force_holant, \
-    csp_to_grid, eval_affine_csp, eval_product_csp
+from .grids import CspInstance, brute_force_csp_by_components, \
+    brute_force_holant, csp_to_grid, eval_affine_csp, eval_product_csp
 from .signatures import Signature
 from .transforms import H2, transform
 
@@ -223,7 +223,9 @@ def evaluate(problem, mode: str = "auto"):
     once and takes the product evaluator if that family holds, else the
     affine one; otherwise it takes the FKT route when the instance grid is
     planar and every transformed signature has a built-in realization,
-    and brute force last.  Auto mode on a grid takes the FKT route when
+    and brute force last.  Brute force on a csp runs per connected
+    component of its constraint graph, so it pays 2^(largest component)
+    rather than 2^num_vars.  Auto mode on a grid takes the FKT route when
     the grid is closed, planar and fully realized, and brute force
     otherwise.  A forced mode that does not apply raises ValueError.
     """
@@ -249,4 +251,6 @@ def evaluate(problem, mode: str = "auto"):
             return "fkt", evaluate_matchgate_grid(*route)
         if mode == "fkt":
             raise ValueError(why)
-    return "brute", brute_force_csp(problem) if csp else brute_force_holant(problem)
+    if csp:
+        return "brute", brute_force_csp_by_components(problem)
+    return "brute", brute_force_holant(problem)

@@ -217,9 +217,14 @@ class Scalar:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(Fraction(self._n[0], self._d))
-        return hash((self._n, self._d))
+        # Rationals hash as the equal int or Fraction does, without
+        # building a Fraction for the integers.
+        n0, n1, n2, n3 = self._n
+        if n1 or n2 or n3:
+            return hash((self._n, self._d))
+        if self._d == 1:
+            return hash(n0)
+        return hash(Fraction(n0, self._d))
 
     # -- display -----------------------------------------------------------
 

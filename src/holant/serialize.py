@@ -55,6 +55,12 @@ def _expect_int(obj, path):
     return obj
 
 
+def _expect_count(obj, path):
+    if _expect_int(obj, path) < 0:
+        raise SchemaError(path, f"expected a non-negative count, got {obj}")
+    return obj
+
+
 # -- scalars and signatures ------------------------------------------------------
 
 
@@ -194,7 +200,7 @@ def parse_csp(obj, path="csp", registry=None) -> CspInstance:
     _expect(obj, dict, path, "a csp object")
     if "vars" not in obj or "constraints" not in obj:
         raise SchemaError(path, "needs 'vars' and 'constraints'")
-    n = _expect_int(obj["vars"], f"{path}.vars")
+    n = _expect_count(obj["vars"], f"{path}.vars")
     raw = _expect(obj["constraints"], list, f"{path}.constraints", "a list")
     cons = []
     for k, entry in enumerate(raw):
@@ -230,7 +236,7 @@ def _parse_graph_fields(obj, path):
     for key in ("vertices", "edges", "rotation"):
         if key not in obj:
             raise SchemaError(path, f"needs '{key}'")
-    n = _expect_int(obj["vertices"], f"{path}.vertices")
+    n = _expect_count(obj["vertices"], f"{path}.vertices")
     raw = _expect(obj["edges"], list, f"{path}.edges", "a list")
     edges = []
     for k, entry in enumerate(raw):

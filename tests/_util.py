@@ -379,6 +379,21 @@ def rand_csp(rng, sig_fn, max_vars=7, max_constraints=5, max_arity=3,
     return CspInstance(n, tuple(cons))
 
 
+def four_block_csp(num_vars=20):
+    """Four disjoint 5-variable blocks on variables 0..19, each OR3 on
+    (0,1,2), OR3 on (2,3,4) and NAND2 on (1,3); its value is 17^4 = 83521
+    at 20 variables.  Variables past 19 are unread."""
+    from holant.grids import CspInstance
+
+    or3 = Signature.from_symmetric([0, 1, 1, 1])
+    nand2 = Signature.from_symmetric([1, 1, 0])
+    cons = []
+    for o in range(0, 20, 5):
+        cons += [(or3, (o, o + 1, o + 2)), (or3, (o + 2, o + 3, o + 4)),
+                 (nand2, (o + 1, o + 3))]
+    return CspInstance(num_vars, tuple(cons))
+
+
 def random_bipartite_grid(rng, sig_fn=rand_signature, max_base_edges=4):
     """Closed planar grid with every edge joining a left and a right vertex.
 

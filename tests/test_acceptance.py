@@ -10,8 +10,11 @@ import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from _util import (
     fibonacci,
+    four_block_csp,
     grid_graph,
     identity_value,
     rand_affine_signature,
@@ -24,7 +27,7 @@ from _util import (
 )
 from holant.classes import is_affine, is_hadamard_matchgate, is_matchgate, \
     is_product, parity_of
-from holant.dichotomy import classify_pl_csp
+from holant.dichotomy import classify_pl_csp, evaluate
 from holant.fkt import PlanarGraph, builtin_fragment, count_pm_fkt, \
     enumerate_pm, evaluate_matchgate_grid
 from holant.grids import SignatureGrid, brute_force_csp, brute_force_holant, \
@@ -273,6 +276,18 @@ def test_affine_evaluator_matches_brute_force():
         for _ in range(200):
             inst = rand_csp(rng, rand_affine_signature, max_vars=16)
             assert eval_affine_csp(inst) == brute_force_csp(inst)
+
+
+def test_brute_force_pays_for_the_largest_component_only():
+    with criterion("20 variables in four 5-variable blocks, auto and brute",
+                   0.5):
+        for mode in ("auto", "brute"):
+            assert evaluate(four_block_csp(), mode) == \
+                ("brute", Scalar.from_int(83521))
+    with pytest.raises(ValueError) as refused:
+        evaluate(four_block_csp(21), "brute")
+    assert str(refused.value) == \
+        "21 variables exceeds the brute-force cap of 20"
 
 
 # -- classification --------------------------------------------------------------------

@@ -459,6 +459,22 @@ def test_schema_violations_carry_paths(capsys, tmp_path):
     assert code == 2
 
 
+def test_negative_csp_variable_count_is_a_parse_error(capsys, tmp_path):
+    doc = put(tmp_path, "c.json", {"vars": -1, "constraints": []})
+    code, out = run(capsys, "eval", doc)
+    assert code == 2
+    assert out["error"] == {"kind": "parse", "path": "csp.vars",
+                            "message": "expected a non-negative count, got -1"}
+
+
+def test_negative_graph_vertex_count_is_a_parse_error(capsys, tmp_path):
+    doc = put(tmp_path, "g.json", {"vertices": -2, "edges": [], "rotation": []})
+    code, out = run(capsys, "fkt", doc)
+    assert code == 2
+    assert out["error"] == {"kind": "parse", "path": "graph.vertices",
+                            "message": "expected a non-negative count, got -2"}
+
+
 def test_zero_denominator_is_a_parse_error_naming_the_literal(capsys,
                                                             tmp_path):
     doc = put(tmp_path, "f.json", {"signatures": [{"symmetric": ["1/0", 1]}]})

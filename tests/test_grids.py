@@ -3,6 +3,8 @@ import random
 import pytest
 
 from _util import (
+    SMALL_POOL,
+    four_block_csp,
     rand_affine_signature,
     rand_csp,
     rand_nonzero_signature,
@@ -15,6 +17,7 @@ from holant.grids import (
     CspInstance,
     SignatureGrid,
     brute_force_csp,
+    brute_force_csp_by_components,
     brute_force_holant,
     csp_to_grid,
     eval_affine_csp,
@@ -23,6 +26,8 @@ from holant.grids import (
     two_stretch,
     vandermonde_interpolate,
 )
+from holant import grids
+from holant._embedding import component_roots
 from holant.scalar import I, ONE, ZERO, Scalar, ZETA8
 from holant.signatures import (
     Signature,
@@ -218,6 +223,78 @@ def test_csp_grid_agrees_with_brute_force_on_randoms():
         inst = rand_csp(rng, rand_signature, max_vars=5, max_arity=3,
                         repeats=(t % 3 == 0))
         assert brute_force_holant(csp_to_grid(inst)) == brute_force_csp(inst)
+
+
+# -- brute force by components ------------------------------------------------
+
+
+def random_block_csp(rng):
+    """0-12 variables in random blocks; some blocks left unread, scopes
+    drawn within a block (repeats allowed), a few zero-arity constants."""
+    n = rng.randint(0, 12)
+    order = rng.sample(range(n), n)
+    cons = []
+    start = 0
+    while start < n:
+        size = rng.randint(1, 4)
+        block = order[start:start + size]
+        start += size
+        if rng.random() < 0.25:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 3)
+            scope = tuple(rng.choice(block) for _ in range(k))
+            cons.append((rand_signature(rng, k), scope))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        cons.append((Signature([rng.choice(SMALL_POOL)]), ()))
+    rng.shuffle(cons)
+    return CspInstance(n, tuple(cons))
+
+
+def test_component_route_matches_exhaustive_brute_force():
+    rng = random.Random(12)
+    drawn = set()
+    for _ in range(300):
+        inst = random_block_csp(rng)
+        value = brute_force_csp_by_components(inst)
+        assert value == brute_force_csp(inst), inst
+        root = component_roots(inst.num_vars, (
+            (on[0], v) for _, on in inst.constraints for v in on[1:]))
+        read = {v for _, on in inst.constraints for v in on}
+        components = {root[v] for v in read}
+        if len(components) > 1:
+            drawn.add("several components")
+            if not value:
+                drawn.add("a zero component")
+        if len(read) < inst.num_vars:
+            drawn.add("unread variables")
+        if any(not on for _, on in inst.constraints):
+            drawn.add("zero-arity constraints")
+        if any(len(set(on)) < len(on) for _, on in inst.constraints):
+            drawn.add("a repeated variable")
+        if inst.num_vars == 0:
+            drawn.add("no variables")
+    assert drawn == {"several components", "a zero component",
+                     "unread variables", "zero-arity constraints",
+                     "a repeated variable", "no variables"}
+
+
+def test_component_route_enumerates_each_component_once(monkeypatch):
+    sizes = []
+    exhaustive = grids.brute_force_csp
+
+    def record(inst):
+        sizes.append(inst.num_vars)
+        return exhaustive(inst)
+
+    monkeypatch.setattr(grids, "brute_force_csp", record)
+    assert brute_force_csp_by_components(four_block_csp()) == 17 ** 4
+    assert sizes == [5, 5, 5, 5]
+
+    sizes.clear()
+    inst = CspInstance(4, ((Signature([0, 0]), (0,)), (equality(2), (1, 2))))
+    assert brute_force_csp_by_components(inst) == ZERO
+    assert sizes == [1]
 
 
 # -- two-stretch ---------------------------------------------------------------

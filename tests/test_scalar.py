@@ -133,6 +133,20 @@ def test_conjugate_involution(a):
     assert abs(approx(a.conjugate()) - approx(a).conjugate()) < 1e-7
 
 
+def test_rational_hashes_match_python_numbers():
+    for k in (0, 1, -1, 7, -12, 2 ** 70, -(2 ** 70)):
+        assert hash(Scalar.from_int(k)) == hash(k) == hash(Fraction(k))
+    for q in (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6),
+              Fraction(-(2 ** 65), 3)):
+        assert hash(Scalar.from_fraction(q)) == hash(q)
+    # equal values reached by different arithmetic hash equal
+    half = Scalar.from_fraction(Fraction(1, 2))
+    assert hash(half + half) == hash(ONE) == hash(Scalar.from_int(3) - 2)
+    assert hash(half * 8 - 1) == hash(3) == hash((ZETA8 - ZETA8) + 3)
+    assert hash(I * I) == hash(-1)
+    assert hash(ZETA8 ** 2 / 3) == hash(I * Fraction(1, 3))
+
+
 def test_int_interop():
     assert Scalar.from_int(3) == 3
     assert 3 == Scalar.from_int(3)
