@@ -4,8 +4,11 @@ A rotation system lists, per vertex, the cyclic counterclockwise order of
 its darts.  Darts come in twin pairs d, d^1 (the two halves of one edge).
 Faces are orbits of the successor map d -> rotation-next of twin(d); the
 orbit count plugs into Euler's formula, which is the whole planarity
-certificate used here.  No geometry anywhere.  The union-find that splits
-a graph into connected components lives here too.
+certificate used here.  No geometry anywhere.  The package's one
+union-find lives here too: it splits a graph into connected components,
+a #CSP into its constraint graph's components for brute force, and the
+literal nodes of a product-family #CSP (two per variable, one per value)
+into the mirror classes its evaluator sums over.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from ._embedding import component_roots, is_planar_embedding
+from ._gf2 import rref
 from .classes import is_affine, is_product
 from .scalar import ONE, SQRT2, ZERO, ZETA8, Scalar, i_power
 from .signatures import ARITY_CAP, Signature, _contract, _sum_products, \
@@ -336,56 +337,23 @@ def eval_product_csp(instance: CspInstance) -> Scalar:
     """Polynomial-time value of an instance whose constraints are all in
     the product family.
 
-    Every constraint factors into unaries and antipodal-pair blocks; the
-    blocks become parity relations between variables, handled by a
-    union-find, and the unaries become per-component weight pairs.  Each
-    component contributes (weight at root 0) + (weight at root 1); a
-    parity conflict kills the whole sum.
+    Variable v has two literal nodes: 2v stands for v = 0 and 2v + 1 for
+    v = 1.  Every constraint factors into unaries and antipodal-pair
+    blocks.  A factor g with least support point s (0 for a unary) puts
+    the weight g[s] on the literal of its first variable under s and the
+    weight at the complement of s on that literal's mirror (node ^ 1);
+    it joins the literals of s to each other, and their mirrors to each
+    other.  Every join has its mirror, so the classes of the one
+    union-find come in mirror pairs.  A class holding both literals of a
+    variable is a parity conflict and kills the sum; otherwise each
+    mirror pair {C, C'} contributes W(C) + W(C'), where W multiplies the
+    weights on a class (ONE when it has none), so an unread variable
+    contributes 2.
     """
     n = instance.num_vars
-    parent = list(range(n))
-    offset = [0] * n  # parity of node relative to its parent
-
-    def find(v):
-        root, par = v, 0
-        while parent[root] != root:
-            par ^= offset[root]
-            root = parent[root]
-        # path compression with parity rewrite
-        node, acc = v, par
-        while parent[node] != node:
-            nxt, noff = parent[node], offset[node]
-            parent[node], offset[node] = root, acc
-            acc ^= noff
-            node = nxt
-        return root, par
-
-    weights = [(ONE, ONE) for _ in range(n)]
-    dead = False
     scale = ONE
-
-    def attach(v, w0, w1):
-        root, par = find(v)
-        a, b = (w0, w1) if par == 0 else (w1, w0)
-        r0, r1 = weights[root]
-        weights[root] = (r0 * a, r1 * b)
-
-    def union(u, v, parity):
-        nonlocal dead
-        ru, pu = find(u)
-        rv, pv = find(v)
-        if ru == rv:
-            if pu ^ pv != parity:
-                dead = True
-            return
-        parent[rv] = ru
-        offset[rv] = pu ^ pv ^ parity
-        a0, a1 = weights[ru]
-        b0, b1 = weights[rv]
-        if offset[rv]:
-            b0, b1 = b1, b0
-        weights[ru] = (a0 * b0, a1 * b1)
-
+    weights = []  # (literal node, weight)
+    joins = []
     zero_instance = False
     analyses = {}  # one membership test per distinct signature
     for sig, on in instance.constraints:
@@ -400,27 +368,33 @@ def eval_product_csp(instance: CspInstance) -> Scalar:
             zero_instance = True
             continue
         for positions, g in analysis.factors:
-            gvars = tuple(on[p - 1] for p in positions)
             k = g.arity
             if k == 0:
                 scale = scale * g[0]
-            elif k == 1:
-                attach(gvars[0], g[0], g[1])
-            else:
-                s = min(g.support())
-                a, b = g[s], g[s ^ ((1 << k) - 1)]
-                bit0 = (s >> (k - 1)) & 1
-                attach(gvars[0], *((a, b) if bit0 == 0 else (b, a)))
-                for j in range(1, k):
-                    bitj = (s >> (k - 1 - j)) & 1
-                    union(gvars[0], gvars[j], bit0 ^ bitj)
-    if zero_instance or dead:
+                continue
+            s = min(g.support()) if k > 1 else 0
+            nodes = [2 * on[p - 1] + ((s >> (k - j)) & 1)
+                     for j, p in enumerate(positions, 1)]
+            first = nodes[0]
+            weights += ((first, g[s]), (first ^ 1, g[s ^ ((1 << k) - 1)]))
+            for u in nodes[1:]:
+                joins += ((first, u), (first ^ 1, u ^ 1))
+    if zero_instance:
         return ZERO
+    root = component_roots(2 * n, joins)
+    weight = {}  # class root -> W(class)
+    for node, w in weights:
+        r = root[node]
+        weight[r] = weight[r] * w if r in weight else w
     total = scale
+    paired = set()
     for v in range(n):
-        if parent[v] == v:
-            w0, w1 = weights[v]
-            total = total * (w0 + w1)
+        r0, r1 = root[2 * v], root[2 * v + 1]
+        if r0 == r1:
+            return ZERO
+        if r0 not in paired:
+            paired.update((r0, r1))
+            total = total * (weight.get(r0, ONE) + weight.get(r1, ONE))
     return total
 
 
@@ -516,14 +490,16 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
     """Polynomial-time value of an instance whose constraints are all
     affine.
 
-    Supports become one global Z2 linear system; phases become one global
+    Supports become one global Z2 linear system, reduced by `rref` with
+    pivots on the highest variable indices; phases become one global
     Z4 quadratic on the constraints' free variables.  After eliminating
     the pivots, the remaining sum of i^Q is evaluated by quadratic Gauss
     sums, variable by variable.
     """
     n = instance.num_vars
     scale = ONE
-    rows = []  # (mask, rhs) over variable bits 1 << v
+    rows = []  # (mask << 1) | rhs: the right-hand side is bit 0
+    zero_instance = False
     quad = {}
     analyses = {}  # one membership test per distinct signature
     for sig, on in instance.constraints:
@@ -535,7 +511,8 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
                 f"constraint on {on} is outside the affine family: "
                 f"{analysis.reason}")
         if sig.is_zero:
-            return ZERO
+            zero_instance = True
+            continue
         scale = scale * analysis.scale
         sup = analysis.support
         k = sig.arity
@@ -544,7 +521,7 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
             for p in range(1, k + 1):
                 if (cmask >> (k - p)) & 1:
                     gmask ^= 1 << on[p - 1]
-            rows.append((gmask, rhs))
+            rows.append((gmask << 1) | rhs)
         free = sup.free
         kf = len(free)
         for mono, c in analysis.polynomial.coefficients:
@@ -553,26 +530,12 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
                 if (mono >> (kf - 1 - j)) & 1:
                     gmask |= 1 << on[p - 1]
             _quad_add(quad, gmask, c)
-
-    # RREF of the support system, pivoting on the lowest variable index
-    pivots = {}
-    for gmask, rhs in rows:
-        for p, (pmask, prhs) in pivots.items():
-            if (gmask >> p) & 1:
-                gmask ^= pmask
-                rhs ^= prhs
-        if gmask == 0:
-            if rhs:
-                return ZERO
-            continue
-        p = (gmask & -gmask).bit_length() - 1
-        pivots[p] = (gmask, rhs)
-    for p in list(pivots):
-        pmask, prhs = pivots[p]
-        for q, (qmask, qrhs) in pivots.items():
-            if q != p and (qmask >> p) & 1:
-                pivots[q] = (qmask ^ pmask, qrhs ^ prhs)
-
+    if zero_instance:
+        return ZERO
+    reduced = rref(rows)
+    if 0 in reduced:  # the row 0 = 1
+        return ZERO
+    pivots = {b - 1: (row >> 1, row & 1) for b, row in reduced.items()}
     free_vars = [v for v in range(n) if v not in pivots]
     for p, (pmask, prhs) in pivots.items():
         _quad_substitute(quad, p, pmask & ~(1 << p), prhs)

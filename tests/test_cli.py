@@ -157,6 +157,19 @@ def test_eval_rejects_out_of_family_modes(capsys, tmp_path):
         "message": "vertex 2: no built-in realization after the basis change"}
 
 
+def test_eval_affine_mode_checks_every_constraint(capsys, tmp_path):
+    zero = {"sig": [0, 0], "on": [0]}
+    or3 = {"sig": {"symmetric": [0, 1, 1, 1]}, "on": [0, 1, 2]}
+    for cons in ([zero, or3], [or3, zero]):
+        doc = put(tmp_path, "c.json", {"vars": 3, "constraints": cons})
+        code, out = run(capsys, "eval", doc, "--mode", "affine")
+        assert code == 1
+        assert out["error"] == {
+            "kind": "domain",
+            "message": "constraint on (0, 1, 2) is outside the affine "
+                       "family: support is not an affine subspace"}
+
+
 def test_eval_fkt_mode_rejects_a_non_planar_instance_grid(capsys, tmp_path):
     eq2 = {"symmetric": [1, 0, 1]}
     scopes = ([0, 1], [1, 2], [0, 2], [0, 1], [1, 2], [2, 0])

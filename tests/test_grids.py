@@ -461,6 +461,94 @@ def test_mixed_system_with_contradiction():
     assert eval_product_csp(inst) == ZERO
 
 
+def test_a_zero_constraint_does_not_hide_a_foreign_one():
+    zero = (Signature([0, 0]), (0,))
+    foreign = (Signature.from_symmetric([0, 1, 1, 1]), (0, 1, 2))
+    for evaluate, family in ((eval_product_csp, "product"),
+                             (eval_affine_csp, "affine")):
+        for cons in ((zero, foreign), (foreign, zero)):
+            with pytest.raises(ValueError, match=f"outside the {family}"):
+                evaluate(CspInstance(3, cons))
+
+
+# -- evaluators beyond the brute-force cap --------------------------------------
+
+
+def wide_block_csp(rng, sig_fn):
+    """40-120 variables in shuffled disjoint blocks of 1-6 variables.
+
+    A block is left unread a quarter of the time; otherwise it gets 1-3
+    constraints drawn from `sig_fn(rng, arity)` on scopes within the
+    block (repeats allowed), and sometimes an equality or a disequality
+    on two of its variables.  Blocks are redrawn until every block value
+    is nonzero, except that half of the instances get one block of value
+    zero, so a zero instance has a single cause.  Returns the instance,
+    its value as the product of the block values by brute force, and
+    whether the zero block (if any) is a parity conflict: one that its
+    equalities and disequalities alone make infeasible.
+    """
+    n = rng.randint(40, 120)
+    order = rng.sample(range(n), n)
+    blocks = []
+    while order:
+        blocks.append(order[:rng.randint(1, 6)])
+        del order[:len(blocks[-1])]
+    zero_at = rng.randrange(len(blocks)) if rng.random() < 0.5 else None
+    parity_sigs = (equality(2), disequality())
+    cons = []
+    value = ONE
+    conflict = False
+    for b, block in enumerate(blocks):
+        while True:
+            local = []
+            if rng.random() >= 0.25:
+                for _ in range(rng.randint(1, 3)):
+                    k = rng.randint(1, 3)
+                    local.append((sig_fn(rng, k), tuple(
+                        rng.randrange(len(block)) for _ in range(k))))
+                for _ in range(rng.choice((0, 1, 2))):
+                    local.append((rng.choice(parity_sigs),
+                                  (rng.randrange(len(block)),
+                                   rng.randrange(len(block)))))
+            block_value = brute_force_csp(CspInstance(len(block), tuple(local)))
+            if (b == zero_at) == (not block_value):
+                break
+        if b == zero_at:
+            parity = tuple(c for c in local if c[0] in parity_sigs)
+            conflict = not brute_force_csp(CspInstance(len(block), parity))
+        value = value * block_value
+        cons += [(sig, tuple(block[v] for v in on)) for sig, on in local]
+    rng.shuffle(cons)
+    return CspInstance(n, tuple(cons)), value, conflict
+
+
+@pytest.mark.parametrize("evaluate, sig_fn, seed", [
+    (eval_product_csp, rand_product_signature, 40),
+    (eval_affine_csp, rand_affine_signature, 41),
+])
+def test_evaluators_match_block_values_beyond_the_cap(evaluate, sig_fn, seed):
+    rng = random.Random(seed)
+    drawn = set()
+    for _ in range(16):
+        inst, value, conflict = wide_block_csp(rng, sig_fn)
+        assert evaluate(inst) == value
+        drawn.add("a nonzero value" if value else "a zero value")
+        if conflict:
+            drawn.add("a parity conflict")
+        if len({v for _, on in inst.constraints for v in on}) < inst.num_vars:
+            drawn.add("an unread variable")
+        if any(len(set(on)) < len(on) for _, on in inst.constraints):
+            drawn.add("a repeated variable")
+    assert drawn == {"a nonzero value", "a zero value", "a parity conflict",
+                     "an unread variable", "a repeated variable"}
+
+
+@pytest.mark.parametrize("evaluate", [eval_product_csp, eval_affine_csp])
+def test_long_disequality_cycles(evaluate):
+    assert evaluate(cycle_csp(disequality(), 2000)) == Scalar.from_int(2)
+    assert evaluate(cycle_csp(disequality(), 2001)) == ZERO
+
+
 # -- exact interpolation ---------------------------------------------------------
 
 
