@@ -5,10 +5,12 @@ its darts.  Darts come in twin pairs d, d^1 (the two halves of one edge).
 Faces are orbits of the successor map d -> rotation-next of twin(d); the
 orbit count plugs into Euler's formula, which is the whole planarity
 certificate used here.  No geometry anywhere.  The package's one
-union-find lives here too: it splits a graph into connected components,
-a #CSP into its constraint graph's components for brute force, and the
-literal nodes of a product-family #CSP (two per variable, one per value)
-into the mirror classes its evaluator sums over.
+union-find lives here too: it splits a rotation system into the
+components the Euler check runs on, a #CSP into its constraint graph's
+components for brute force, and the literal nodes of a product-family
+#CSP (two per variable, one per value) into the mirror classes its
+evaluator sums over.  FKT counting does not call it: the BFS forest of
+its one orientation pass names the components.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Every result is a single JSON document on standard output, with sorted
 keys, so identical invocations produce identical bytes.  Exit status: 0 on
 success (a hardness verdict is still success), 1 when the input is
 structurally fine but violates a domain rule, 2 when a file is missing,
-malformed, or out of schema.  Error results carry
+unreadable, malformed, or out of schema, or when --output cannot be
+written.  Error results carry
 {"error": {"kind": "domain" | "parse", ...}}.
 """
 
@@ -39,9 +40,20 @@ from .signatures import Signature
 from .transforms import apply_matrix, check_holant_invariance, transform
 
 
+class _FileError(Exception):
+    """An input file that is missing, unreadable or not UTF-8 text."""
+
+
 def _load_document(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise _FileError(f"no such file: {path}") from None
+    except OSError as e:
+        raise _FileError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise _FileError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
 
 
 def _load_input(args):
@@ -303,35 +315,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(result, args) -> None:
-    text = json.dumps(result, sort_keys=True)
-    print(text)
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _run(args):
+    """The result document of the command and its exit status."""
+    try:
+        return args.handler(args), 0
+    except SchemaError as e:
+        return {"error": {"kind": "parse", "path": e.path,
+                          "message": e.message}}, 2
+    except (_FileError, json.JSONDecodeError) as e:
+        return {"error": {"kind": "parse", "message": str(e)}}, 2
+    except (ValueError, ZeroDivisionError) as e:
+        return {"error": {"kind": "domain", "message": str(e)}}, 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        result = args.handler(args)
-    except SchemaError as e:
-        _emit({"error": {"kind": "parse", "path": e.path,
-                         "message": e.message}}, args)
-        return 2
-    except FileNotFoundError as e:
-        _emit({"error": {"kind": "parse",
-                         "message": f"no such file: {e.filename}"}}, args)
-        return 2
-    except json.JSONDecodeError as e:
-        _emit({"error": {"kind": "parse", "message": str(e)}}, args)
-        return 2
-    except (ValueError, ZeroDivisionError) as e:
-        _emit({"error": {"kind": "domain", "message": str(e)}}, args)
-        return 1
-    _emit(result, args)
-    return 0
+    result, code = _run(args)
+    text = json.dumps(result, sort_keys=True)
+    output = getattr(args, "output", None)
+    if output:
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            # one document per run: the unwritten result is not printed
+            text = json.dumps({"error": {
+                "kind": "parse",
+                "message": f"cannot write {output}: {e.strerror}"}},
+                sort_keys=True)
+            code = 2
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ matrix with one common sign.  Everything stays in the exact scalar field,
 so the usual absolute-value trick for that sign is unavailable.  Instead
 the same oriented matrix with unit weights has Pfaffian sign * #matchings,
 an exact integer whose sign is the global one, and which is zero exactly
-when no perfect matching exists.
+when no perfect matching exists.  One pass over the faces the PlanarGraph
+constructor traced orients every connected component; each component is
+then counted on its own, so a unit-weight one needs no weighted Pfaffian.
 
 Both Pfaffians come from one sparse kernel: rows are dicts of nonzero
 entries, and a skew elimination pivots on a vertex of minimum degree and
@@ -32,8 +34,9 @@ from __future__ import annotations
 
 import functools
 import heapq
+from itertools import accumulate
 
-from ._embedding import component_roots, is_planar_embedding, trace_faces
+from ._embedding import is_planar_embedding, trace_faces
 from .scalar import ONE, ZERO, Scalar
 from .signatures import Signature, _coerce_scalar
 
@@ -93,17 +96,6 @@ class PlanarGraph:
         if not is_planar_embedding(darts, self._faces):
             raise ValueError("rotation system is not a plane embedding")
 
-    @classmethod
-    def _unchecked(cls, num_vertices, edges, rotation):
-        """A graph already known to be embedded, such as a component of a
-        checked one: no check runs."""
-        g = cls.__new__(cls)
-        g.num_vertices = num_vertices
-        g.edges = edges
-        g.rotation = rotation
-        g._faces = None
-        return g
-
     def _dart_rotations(self):
         # edge e has darts 2e (u side) and 2e+1 (v side)
         out = []
@@ -111,12 +103,6 @@ class PlanarGraph:
             out.append(tuple(2 * e if v == self.edges[e][0] else 2 * e + 1
                              for e in r))
         return out
-
-    def _dart_faces(self):
-        """The face orbits of the darts, traced once per graph."""
-        if self._faces is None:
-            self._faces = trace_faces(self._dart_rotations())
-        return self._faces
 
     def __repr__(self):
         return (f"PlanarGraph({self.num_vertices} vertices, "
@@ -163,6 +149,79 @@ def enumerate_pm(g: PlanarGraph) -> Scalar:
     return _matching_sum(_adjacency(n, g.edges), (1 << n) - 1, {})
 
 
+def _orient_components(g: PlanarGraph):
+    """kasteleyn_orient on every component of g at once, and the
+    component label of each vertex.  A BFS forest, restarted at each
+    unseen vertex, labels the components 0, 1, ...; the other edges form
+    the dual forest, rooted at each component's first traced face.
+    Leaves first, each other face orients its parent edge to become
+    clockwise-odd."""
+    n = g.num_vertices
+    m = len(g.edges)
+    adj = _adjacency(n, g.edges)
+    label = [-1] * n
+    tree = [False] * m
+    components = 0
+    for s in range(n):
+        if label[s] >= 0:
+            continue
+        label[s] = components
+        queue = [s]
+        for u in queue:
+            for v, _, e in adj[u]:
+                if label[v] < 0:
+                    label[v] = components
+                    tree[e] = True
+                    queue.append(v)
+        components += 1
+
+    faces = g._faces
+    face_of = {}
+    first = {}
+    for fi, face in enumerate(faces):
+        for d in face:
+            face_of[d] = fi
+        d = face[0]
+        first.setdefault(label[g.edges[d >> 1][d & 1]], fi)
+
+    orient = [0] * m
+    fixed = list(tree)
+
+    dual = [[] for _ in faces]
+    for e in range(m):
+        if not tree[e]:
+            f1, f2 = face_of[2 * e], face_of[2 * e + 1]
+            dual[f1].append((f2, e))
+            dual[f2].append((f1, e))
+    # a root has no parent edge
+    parent_edge = dict.fromkeys(first.values())
+    order = list(parent_edge)
+    for f in order:
+        for nf, e in dual[f]:
+            if nf not in parent_edge:
+                parent_edge[nf] = e
+                order.append(nf)
+
+    def clockwise(d):
+        e = d >> 1
+        return 2 * e + orient[e] == d ^ 1
+
+    for f, e in reversed(parent_edge.items()):
+        if e is None:
+            continue
+        count = sum(1 for d in faces[f] if fixed[d >> 1] and clockwise(d))
+        d = 2 * e if face_of[2 * e] == f else 2 * e + 1
+        orient[e] = (d ^ 1) & 1 if count % 2 == 0 else d & 1
+        fixed[e] = True
+
+    if not all(fixed):
+        raise ValueError("embedding left an edge unoriented; dual structure broken")
+    for f, e in parent_edge.items():
+        if e is not None and sum(1 for d in faces[f] if clockwise(d)) % 2 == 0:
+            raise ValueError("clockwise-odd postcondition failed")
+    return tuple(orient), label
+
+
 def kasteleyn_orient(g: PlanarGraph) -> tuple:
     """An orientation making every bounded face clockwise-odd.
 
@@ -171,78 +230,12 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
     ends up with an odd number of edges oriented against its traversal,
     which is the clockwise-odd property under counterclockwise rotations.
     Requires a connected graph; the property is re-checked before
-    returning.
+    returning.  count_pm_fkt orients every component in the same pass.
     """
-    n = g.num_vertices
-    m = len(g.edges)
-    # BFS spanning tree over edges; a vertex it misses means disconnected
-    tree = [False] * m
-    seen_v = [False] * n
-    if n:
-        seen_v[0] = True
-        queue = [0]
-        adj = _adjacency(n, g.edges)
-        for u in queue:
-            for v, _, e in adj[u]:
-                if not seen_v[v]:
-                    seen_v[v] = True
-                    tree[e] = True
-                    queue.append(v)
-    if not all(seen_v):
+    orient, label = _orient_components(g)
+    if any(label):
         raise ValueError("kasteleyn_orient needs a connected graph")
-    if not m:
-        # no darts, so no faces: nothing to orient
-        return ()
-
-    faces = g._dart_faces()
-    face_of = {}
-    for fi, face in enumerate(faces):
-        for d in face:
-            face_of[d] = fi
-
-    orient = [0] * m
-    fixed = list(tree)
-
-    # dual tree on the non-tree edges, rooted at the outer face
-    dual = [[] for _ in faces]
-    for e in range(m):
-        if not tree[e]:
-            f1, f2 = face_of[2 * e], face_of[2 * e + 1]
-            dual[f1].append((f2, e))
-            dual[f2].append((f1, e))
-    outer = 0
-    parent_edge = {outer: None}
-    order = [outer]
-    stack = [outer]
-    while stack:
-        f = stack.pop()
-        for nf, e in dual[f]:
-            if nf not in parent_edge:
-                parent_edge[nf] = e
-                order.append(nf)
-                stack.append(nf)
-
-    def clockwise(d):
-        e = d >> 1
-        return 2 * e + orient[e] == d ^ 1
-
-    for f in reversed(order):
-        if f == outer:
-            continue
-        e = parent_edge[f]
-        count = sum(1 for d in faces[f] if fixed[d >> 1] and clockwise(d))
-        d = 2 * e if face_of[2 * e] == f else 2 * e + 1
-        orient[e] = (d ^ 1) & 1 if count % 2 == 0 else d & 1
-        fixed[e] = True
-
-    if not all(fixed):
-        raise ValueError("embedding left an edge unoriented; dual structure broken")
-    for fi, face in enumerate(faces):
-        if fi == outer:
-            continue
-        if sum(1 for d in face if clockwise(d)) % 2 == 0:
-            raise ValueError("clockwise-odd postcondition failed")
-    return tuple(orient)
+    return orient
 
 
 def pfaffian(matrix) -> Scalar:
@@ -343,16 +336,11 @@ def _pfaffian_rows(rows) -> Scalar:
     return result if (n - cycles) % 2 == 0 else -result
 
 
-def _count_component(g: PlanarGraph, orient) -> Scalar:
-    """FKT count for one connected graph under its Kasteleyn orientation;
-    the unit-weight Pfaffian, sign * #matchings, fixes the sign of the
-    weighted one.  Both matrices are built as sparse rows, with parallel
-    edges summed."""
-    n = g.num_vertices
-    if n % 2:
-        return ZERO
-    arcs = [(v, u, w) if o else (u, v, w)
-            for (u, v, w), o in zip(g.edges, orient)]
+def _count_component(n, arcs) -> Scalar:
+    """FKT count for one connected graph on n vertices, n even, from its
+    Kasteleyn-oriented arcs (u, v, w); the unit-weight Pfaffian, sign *
+    #matchings, fixes the sign of the weighted one.  Both matrices are
+    built as sparse rows, with parallel edges summed."""
     unit = [{} for _ in range(n)]
     for u, v, _ in arcs:
         unit[u][v] = unit[u].get(v, 0) + 1
@@ -373,40 +361,37 @@ def _count_component(g: PlanarGraph, orient) -> Scalar:
     return pf if count.as_fraction() > 0 else -pf
 
 
-def _components(g: PlanarGraph):
-    """The connected components of a checked graph, relabelled from 0."""
-    root = component_roots(g.num_vertices, ((u, v) for u, v, _ in g.edges))
-    groups = {}
-    for v, r in enumerate(root):
-        groups.setdefault(r, ([], []))[0].append(v)
-    for e, (u, _, _) in enumerate(g.edges):
-        groups[root[u]][1].append(e)
-    for verts, edge_ids in groups.values():
-        index = {v: i for i, v in enumerate(verts)}
-        eindex = {e: i for i, e in enumerate(edge_ids)}
-        edges = tuple((index[g.edges[e][0]], index[g.edges[e][1]],
-                       g.edges[e][2]) for e in edge_ids)
-        rotation = tuple(tuple(eindex[e] for e in g.rotation[v])
-                         for v in verts)
-        yield PlanarGraph._unchecked(len(verts), edges, rotation)
+def _count_oriented(g: PlanarGraph, orient, label) -> Scalar:
+    """count_pm_fkt(g) from _orient_components(g): each component is
+    counted on its own vertex indices and the counts multiply."""
+    size = [0] * (max(label, default=-1) + 1)
+    index = []
+    for c in label:
+        index.append(size[c])
+        size[c] += 1
+    if any(k % 2 for k in size):
+        return ZERO
+    arcs = [[] for _ in size]
+    for (u, v, w), o in zip(g.edges, orient):
+        if o:
+            u, v = v, u
+        arcs[label[u]].append((index[u], index[v], w))
+    total = ONE
+    for k, comp in zip(size, arcs):
+        total = total * _count_component(k, comp)
+        if not total:
+            break
+    return total
 
 
 def count_pm_fkt(g: PlanarGraph) -> Scalar:
     """Weighted perfect-matching count via Kasteleyn orientation and
     Pfaffian, exact over the scalar field.
 
-    Disconnected graphs are counted per component and multiplied.  An
-    isolated vertex therefore gives zero, as it must.
+    One orientation pass covers every component; the components are
+    counted apart and multiplied, so an isolated vertex gives zero.
     """
-    total = ONE
-    for comp in _components(g):
-        if comp.num_vertices % 2:
-            return ZERO
-        value = _count_component(comp, kasteleyn_orient(comp))
-        if not value:
-            return ZERO
-        total = total * value
-    return total
+    return _count_oriented(g, *_orient_components(g))
 
 
 def _count_and_orientation(g: PlanarGraph):
@@ -417,7 +402,7 @@ def _count_and_orientation(g: PlanarGraph):
         orient = kasteleyn_orient(g)
     except ValueError:
         return count_pm_fkt(g), None
-    return _count_component(g, orient), orient
+    return _count_oriented(g, orient, [0] * g.num_vertices), orient
 
 
 # -- matchgate fragments ---------------------------------------------------------
@@ -461,7 +446,7 @@ class MatchgateFragment:
         if k:
             # dart 1 is the phantom end of stub 0; odd darts below 2k are
             # the phantom ends of stubs
-            home = next(f for f in g._dart_faces() if 1 in f)
+            home = next(f for f in g._faces if 1 in f)
             seq = [d // 2 for d in home if d % 2 and d // 2 < k]
             if len(seq) != k:
                 raise ValueError("dangling stubs do not share one face")
@@ -545,48 +530,35 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
             raise ValueError(
                 f"vertex {i}: realization does not produce its signature")
 
-    offsets = []
-    total_vertices = 0
-    for frag in realizations:
-        offsets.append(total_vertices)
-        total_vertices += frag.num_vertices
+    # vertex v of fragment i becomes offsets[i] + v, and its internal
+    # edge t (combined id t >= k_i) becomes edge bases[i] + t - k_i
+    offsets = [0, *accumulate(frag.num_vertices for frag in realizations)]
+    bases = [0, *accumulate(len(frag.edges) for frag in realizations)]
+    edges = [(u + o, v + o, w) for frag, o in zip(realizations, offsets)
+             for u, v, w in frag.edges]
 
-    edges = []
-    # per grid vertex, the global id its local combined ids map to
-    id_maps = []
-    for i, frag in enumerate(realizations):
-        k = frag.arity
-        local = {}
-        for e, (u, v, w) in enumerate(frag.edges):
-            local[k + e] = len(edges)
-            edges.append((u + offsets[i], v + offsets[i], w))
-        id_maps.append(local)
-
-    drop = set()
+    # per grid vertex, the edge each stub becomes; None drops the stub
+    links = [[None] * frag.arity for frag in realizations]
     for edge_id in grid.edge_ids:
-        places = grid.occurrences(edge_id)
-        (i1, s1), (i2, s2) = places
+        (i1, s1), (i2, s2) = grid.occurrences(edge_id)
         a = realizations[i1].dangling[s1] + offsets[i1]
         b = realizations[i2].dangling[s2] + offsets[i2]
         if a == b:
             # a stitched self-loop can never be matched, and forcing both
             # stubs consumes the vertex twice, so only the all-unused term
             # survives: dropping the edge is exact
-            drop.add((i1, s1))
-            drop.add((i2, s2))
             continue
-        gid = len(edges)
+        links[i1][s1] = links[i2][s2] = len(edges)
         edges.append((a, b, ONE))
-        id_maps[i1][s1] = gid
-        id_maps[i2][s2] = gid
 
-    rotation = [None] * total_vertices
-    for i, frag in enumerate(realizations):
-        for v, r in enumerate(frag.rotation):
-            rotation[v + offsets[i]] = tuple(
-                id_maps[i][t] for t in r
-                if not (t < frag.arity and (i, t) in drop))
-    stitched = PlanarGraph(total_vertices, edges, rotation)
+    rotation = []
+    for frag, base, link in zip(realizations, bases, links):
+        k = frag.arity
+        for r in frag.rotation:
+            rotation.append(tuple(base + t - k if t >= k else link[t]
+                                  for t in r
+                                  if t >= k or link[t] is not None))
+    stitched = PlanarGraph(offsets[-1], edges, rotation)
     return count_pm_fkt(stitched)
 
 

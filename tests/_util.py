@@ -185,6 +185,29 @@ def first_violated_identity(f: Signature):
     return None
 
 
+# -- independent oracle for the GF(2) elimination ------------------------------
+#
+# The pivot scan: each incoming row is checked against every stored pivot
+# and each new pivot against every stored row.  O(rows * pivots) big-int
+# operations.
+
+
+def rref_by_scan(vectors) -> dict:
+    """_gf2.rref, keys in the same order, by the pivot scan."""
+    rows = {}
+    for v in vectors:
+        for p, r in rows.items():
+            if (v >> p) & 1:
+                v ^= r
+        if v:
+            p = v.bit_length() - 1
+            for q in list(rows):
+                if (rows[q] >> p) & 1:
+                    rows[q] ^= v
+            rows[p] = v
+    return rows
+
+
 # -- random structured inputs --------------------------------------------------
 
 

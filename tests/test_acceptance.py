@@ -30,11 +30,12 @@ from holant.classes import is_affine, is_hadamard_matchgate, is_matchgate, \
 from holant.dichotomy import classify_pl_csp, evaluate
 from holant.fkt import PlanarGraph, builtin_fragment, count_pm_fkt, \
     enumerate_pm, evaluate_matchgate_grid
-from holant.grids import SignatureGrid, brute_force_csp, brute_force_holant, \
-    eval_affine_csp, eval_product_csp, vandermonde_interpolate
+from holant.grids import CspInstance, SignatureGrid, brute_force_csp, \
+    brute_force_holant, eval_affine_csp, eval_product_csp, \
+    vandermonde_interpolate
 from holant.scalar import I, MINUS_ONE, ONE, ZERO, ZETA8, Scalar
 from holant.signatures import Signature, crossover, derivative, \
-    derivative_power, equality, unary
+    derivative_power, disequality, equality, unary
 from holant.transforms import H2, Transform2x2, apply_matrix, \
     check_holant_invariance
 
@@ -276,6 +277,14 @@ def test_affine_evaluator_matches_brute_force():
         for _ in range(200):
             inst = rand_csp(rng, rand_affine_signature, max_vars=16)
             assert eval_affine_csp(inst) == brute_force_csp(inst)
+
+
+def test_affine_evaluator_takes_a_long_disequality_cycle_quickly():
+    n = 4000
+    cycle = CspInstance(n, tuple((disequality(), (v, (v + 1) % n))
+                                 for v in range(n)))
+    with criterion("affine evaluator, 4,000-variable disequality cycle", 0.5):
+        assert eval_affine_csp(cycle) == Scalar.from_int(2)
 
 
 def test_brute_force_pays_for_the_largest_component_only():

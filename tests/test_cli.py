@@ -461,6 +461,45 @@ def test_malformed_json_is_a_parse_error(capsys, tmp_path):
     assert out["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize("where", ["input", "registry"])
+def test_a_directory_for_a_file_is_a_parse_error(capsys, tmp_path, where):
+    doc = put(tmp_path, "s.json", sig_doc([1, 0, 1]))
+    if where == "input":
+        argv = ["classify", str(tmp_path)]
+    else:
+        argv = ["classify", doc, "--registry", str(tmp_path)]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out["error"]["kind"] == "parse"
+    assert out["error"]["message"].startswith(f"cannot read {tmp_path}: ")
+
+
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"signatures": ["\xe9"]}'.encode("latin-1"))
+    code, out = run(capsys, "classify", str(path))
+    assert code == 2
+    assert out == {"error": {
+        "kind": "parse",
+        "message": f"cannot read {path}: not UTF-8 (invalid continuation byte)"}}
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_prints_only_a_parse_error(capsys, tmp_path, where):
+    doc = put(tmp_path, "s.json", sig_doc([1, 0, 1]))
+    dest = tmp_path / "absent" / "x.json" if where == "missing directory" \
+        else tmp_path
+    code = main(["classify", doc, "--output", str(dest)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    # json.loads refuses a second document after the first
+    out = json.loads(captured.out)
+    assert out["error"]["kind"] == "parse"
+    assert out["error"]["message"].startswith(f"cannot write {dest}: ")
+    assert not (tmp_path / "absent").exists()
+
+
 def test_schema_violations_carry_paths(capsys, tmp_path):
     doc = put(tmp_path, "c.json", {"vars": 2})
     code, out = run(capsys, "eval", doc)

@@ -16,7 +16,8 @@ from _util import (
     random_closed_grid,
 )
 from holant import fkt
-from holant._embedding import is_planar_embedding, trace_faces
+from holant._embedding import component_roots, is_planar_embedding, \
+    trace_faces
 from holant.classes import is_matchgate, parity_of
 from holant.fkt import (
     MatchgateFragment,
@@ -334,6 +335,98 @@ def test_components_of_a_checked_graph_are_not_rechecked(monkeypatch):
     monkeypatch.setattr(fkt, "is_planar_embedding", counting)
     assert count_pm_fkt(g) == Scalar.from_int(2) * (I + ONE)
     assert calls == []
+
+
+def disjoint_union(graphs, rng):
+    """The graphs side by side, their vertices renumbered in a shuffled
+    order, so that no component holds a contiguous range; edge ids run on
+    from graph to graph."""
+    n = sum(g.num_vertices for g in graphs)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    rotation = [()] * n
+    first = 0
+    for g in graphs:
+        base = len(edges)
+        edges += [(perm[first + u], perm[first + v], w) for u, v, w in g.edges]
+        for v, r in enumerate(g.rotation):
+            rotation[perm[first + v]] = tuple(base + e for e in r)
+        first += g.num_vertices
+    return PlanarGraph(n, edges, rotation)
+
+
+def random_union(rng, drawn):
+    """A disjoint union of 2-4 parts of at most 20 vertices in all: random
+    plane graphs, unit-weight or weighted, and isolated vertices.  Adds
+    to `drawn` the cases it covers."""
+    parts = []
+    while True:
+        parts.clear()
+        for _ in range(rng.randint(2, 4)):
+            if rng.random() < 0.15:
+                parts.append(PlanarGraph(1, [], [()]))
+            else:
+                parts.append(random_planar_graph(
+                    rng, max_vertices=7, extra_edges=4,
+                    weight_pool=SMALL_POOL if rng.random() < 0.5 else None))
+        if sum(g.num_vertices for g in parts) <= 20:
+            break
+    g = disjoint_union(parts, rng)
+    if any(not part.edges for part in parts):
+        drawn.add("an isolated vertex")
+    if any(part.edges and part.num_vertices % 2 for part in parts):
+        drawn.add("an odd component")
+    unit = [all(w == ONE for _, _, w in part.edges) for part in parts
+            if part.edges]
+    if True in unit and False in unit and count_pm_fkt(g):
+        drawn.add("a nonzero count with unit and weighted components")
+    return g
+
+
+def test_disjoint_unions_match_enumeration():
+    rng = random.Random(52)
+    drawn = set()
+    for _ in range(150):
+        g = random_union(rng, drawn)
+        assert count_pm_fkt(g) == enumerate_pm(g)
+    assert drawn == {"an isolated vertex", "an odd component",
+                     "a nonzero count with unit and weighted components"}
+
+
+def test_one_pass_orients_every_component_clockwise_odd():
+    rng = random.Random(53)
+    for _ in range(60):
+        g = random_union(rng, set())
+        orient, label = fkt._orient_components(g)
+        roots = component_roots(g.num_vertices,
+                                ((u, v) for u, v, _ in g.edges))
+        assert len(set(label)) == len(set(roots))
+        assert all(label[u] == label[v] for u, v, _ in g.edges)
+        with pytest.raises(ValueError, match="connected"):
+            kasteleyn_orient(g)
+        outer = set()
+        for face in trace_faces(g._dart_rotations()):
+            d = face[0]
+            c = label[g.edges[d >> 1][d & 1]]
+            if c not in outer:
+                # the first traced face of a component is its outer face
+                outer.add(c)
+                continue
+            clockwise = sum(1 for d in face
+                            if 2 * (d >> 1) + orient[d >> 1] == d ^ 1)
+            assert clockwise % 2 == 1
+
+
+def test_a_union_of_ladders_beyond_the_enumeration_cap():
+    rng = random.Random(54)
+    lengths = (5, 8, 13, 21)
+    g = disjoint_union([grid_graph(2, k) for k in lengths], rng)
+    assert g.num_vertices > fkt.ENUM_CAP
+    want = ONE
+    for k in lengths:
+        want = want * Scalar.from_int(fibonacci(k + 1))
+    assert count_pm_fkt(g) == want
 
 
 def test_fkt_matches_enumeration_unit_weights():
@@ -686,6 +779,33 @@ def test_grid_evaluation_with_self_loop():
     grid = SignatureGrid([(equality(2), (0, 0))])
     frags = [builtin_fragment(equality(2))]
     assert evaluate_matchgate_grid(grid, frags) == Scalar.from_int(2)
+
+
+def test_grid_evaluation_with_stitched_self_loops():
+    rng = random.Random(55)
+    drawn = set()
+    for _ in range(40):
+        g = random_planar_graph(rng, max_vertices=5, extra_edges=2,
+                                degree_cap=4)
+        rotation = [list(r) for r in g.rotation]
+        loop = len(g.edges)
+        for r in rotation:
+            if rng.random() < 0.6:
+                # a loop between two neighbouring corners stays plane
+                slot = rng.randrange(len(r) + 1)
+                r[slot:slot] = [loop, loop]
+                loop += 1
+        grid = SignatureGrid([(realizable_signature(rng, len(r)), tuple(r))
+                              for r in rotation])
+        frags = [builtin_fragment(v.signature) for v in grid.vertices]
+        for e in range(len(g.edges), loop):
+            (i, s1), (_, s2) = grid.occurrences(e)
+            drawn.add("stubs on one vertex"
+                      if frags[i].dangling[s1] == frags[i].dangling[s2]
+                      else "stubs on two vertices")
+        assert evaluate_matchgate_grid(grid, frags) == \
+            brute_force_holant(grid)
+    assert drawn == {"stubs on one vertex", "stubs on two vertices"}
 
 
 def test_grid_evaluation_matches_brute_force():

@@ -12,6 +12,7 @@ from _util import (
     rand_signature,
     random_bipartite_grid,
     random_closed_grid,
+    rref_by_scan,
 )
 from holant.grids import (
     CspInstance,
@@ -28,6 +29,7 @@ from holant.grids import (
 )
 from holant import grids
 from holant._embedding import component_roots
+from holant._gf2 import rref
 from holant.scalar import I, ONE, ZERO, Scalar, ZETA8
 from holant.signatures import (
     Signature,
@@ -547,6 +549,29 @@ def test_evaluators_match_block_values_beyond_the_cap(evaluate, sig_fn, seed):
 def test_long_disequality_cycles(evaluate):
     assert evaluate(cycle_csp(disequality(), 2000)) == Scalar.from_int(2)
     assert evaluate(cycle_csp(disequality(), 2001)) == ZERO
+
+
+def test_rref_matches_the_pivot_scan():
+    rng = random.Random(47)
+    for _ in range(300):
+        width = rng.randint(1, 90)
+        vectors = []
+        for _ in range(rng.randint(0, 40)):
+            kind = rng.random()
+            if kind < 0.2 and vectors:
+                # a combination of earlier rows, so it reduces to zero
+                v = 0
+                for u in rng.sample(vectors, rng.randint(1, len(vectors))):
+                    v ^= u
+            elif kind < 0.6:
+                v = 0
+                for b in rng.sample(range(width), min(width, rng.randint(1, 3))):
+                    v |= 1 << b
+            else:
+                v = rng.randrange(1 << width)
+            vectors.append(v)
+        got = rref(vectors)
+        assert list(got.items()) == list(rref_by_scan(vectors).items())
 
 
 # -- exact interpolation ---------------------------------------------------------
