@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+from ._embedding import component_roots
 from .classes import (
     is_affine,
     is_hadamard_matchgate,
@@ -38,14 +39,16 @@ from .classes import (
     is_twisted_hadamard_matchgate,
 )
 from .fkt import builtin_fragment, evaluate_matchgate_grid
-from .grids import CspInstance, brute_force_csp_by_components, \
-    brute_force_holant, csp_to_grid, eval_affine_csp, eval_product_csp
+from .grids import VAR_CAP, CspInstance, brute_force_csp, brute_force_holant, \
+    csp_to_grid, eval_affine_csp, eval_product_csp
+from .scalar import ONE
 from .signatures import Signature
 from .transforms import H2, transform
 
 PTIME = "PTime"
 PLANAR_PTIME_ONLY = "PlanarPTimeOnly"
 SHARP_P_HARD = "SharpPHard"
+_COST = ("product", "affine", "fkt", "brute")  # evaluators, cheapest first
 
 _FAMILY_TESTS = {
     "affine": is_affine,
@@ -187,31 +190,47 @@ def _fkt_route(problem):
     equality side and by its inverse on the constraint side; that keeps
     the value, turns each =_k into H2·=_k = 2·[y even] and takes each
     constraint H2·g back to g.  A grid is taken as it is.  Each distinct
-    signature is rewritten once and looked up once.
+    signature is rewritten once and looked up once, in grid order up to
+    the first vertex without a realization.
     Returns ((grid, fragments), None), or (None, why the route does not
     apply).
     """
-    grid, where = problem, ""
+    grid, where, rewrite = problem, "", None
     if isinstance(problem, CspInstance):
-        grid, where = csp_to_grid(problem), " after the basis change"
+        try:
+            grid, where = csp_to_grid(problem), " after the basis change"
+        except ValueError as e:  # a variable of degree beyond ARITY_CAP
+            return None, str(e)
         if not grid.is_planar():
             return None, "instance grid is not planar as constructed"
-        try:
-            grid = grid.map_sides(
-                functools.cache(lambda f: transform(f, H2, "row")),
-                functools.cache(lambda f: transform(f, H2, "column")))
-        except ValueError as e:
-            return None, str(e)
+        rewrite = (functools.cache(lambda f: transform(f, H2, "row")),
+                   functools.cache(lambda f: transform(f, H2, "column")))
+    realize = functools.cache(builtin_fragment)
     frags = []
-    found = {}
     for k, v in enumerate(grid.vertices):
-        if v.signature not in found:
-            found[v.signature] = builtin_fragment(v.signature)
-        frag = found[v.signature]
-        if frag is None:
+        frags.append(realize(v.signature if rewrite is None else
+                             rewrite[grid.sides[k] == "right"](v.signature)))
+        if frags[-1] is None:
             return None, f"vertex {k}: no built-in realization{where}"
-        frags.append(frag)
-    return (grid, frags), None
+    return (grid.map_sides(*rewrite) if rewrite else grid, frags), None
+
+
+def _csp_parts(instance):
+    """The connected components of a csp's constraint graph, each on its
+    own variables 0..c-1 (the zero-arity constraints make one part), and
+    the number of variables that no constraint reads."""
+    root = component_roots(instance.num_vars, (
+        (on[0], v) for _, on in instance.constraints for v in on[1:]))
+    groups = {}  # component root, or None for the constants -> constraints
+    for sig, on in instance.constraints:
+        groups.setdefault(root[on[0]] if on else None, []).append((sig, on))
+    parts = []
+    for cons in groups.values():
+        ids = {}
+        cons = tuple((sig, tuple(ids.setdefault(v, len(ids)) for v in on))
+                     for sig, on in cons)
+        parts.append(CspInstance(len(ids), cons))
+    return parts, instance.num_vars - sum(p.num_vars for p in parts)
 
 
 def evaluate(problem, mode: str = "auto"):
@@ -223,11 +242,13 @@ def evaluate(problem, mode: str = "auto"):
     once and takes the product evaluator if that family holds, else the
     affine one; otherwise it takes the FKT route when the instance grid is
     planar and every transformed signature has a built-in realization,
-    and brute force last.  Brute force on a csp runs per connected
-    component of its constraint graph, so it pays 2^(largest component)
-    rather than 2^num_vars.  Auto mode on a grid takes the FKT route when
-    the grid is closed, planar and fully realized, and brute force
-    otherwise.  A forced mode that does not apply raises ValueError.
+    and brute force last.  Brute force sums a connected csp whole; a csp
+    of several components is evaluated part by part in the same mode, up
+    to the first zero, and reports the costliest strategy used.  Forced
+    brute mode refuses beyond VAR_CAP variables on the whole instance.
+    Auto mode on a grid takes the FKT route when the grid is closed,
+    planar and fully realized, and brute force otherwise.  A forced mode
+    that does not apply raises ValueError.
     """
     csp = isinstance(problem, CspInstance)
     if mode == "auto":
@@ -251,6 +272,18 @@ def evaluate(problem, mode: str = "auto"):
             return "fkt", evaluate_matchgate_grid(*route)
         if mode == "fkt":
             raise ValueError(why)
-    if csp:
-        return "brute", brute_force_csp_by_components(problem)
-    return "brute", brute_force_holant(problem)
+    if not csp:
+        return "brute", brute_force_holant(problem)
+    if mode == "brute" and problem.num_vars > VAR_CAP:
+        return "brute", brute_force_csp(problem)  # refuses before enumerating
+    parts, unread = _csp_parts(problem)
+    used, total = _COST[0], ONE * (1 << unread)
+    if len(parts) < 2:  # connected: summed whole, nothing to plan again
+        return "brute", brute_force_csp(parts[0]) * total if parts else total
+    for part in parts:
+        strategy, value = evaluate(part, mode)
+        used = max(used, strategy, key=_COST.index)
+        if not value:
+            return used, value
+        total = total * value
+    return used, total

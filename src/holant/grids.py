@@ -8,9 +8,8 @@ outer variables of an unfinished gate rather than summed over.
 
 The brute-force oracles are wirings of the enumeration kernel in
 `signatures`: a grid contracts its vertices over the edges, keeping the
-dangling ones, and a #CSP sums its constraints over the variable bits,
-either whole (the exhaustive reference) or one connected component at a
-time.
+dangling ones, and a #CSP sums its constraints over all its variable
+bits; `dichotomy.evaluate` splits a #CSP by component before that.
 This module also houses the two polynomial-time #CSP evaluators for the
 product and affine families, and the exact Vandermonde solver used by the
 interpolation harness.
@@ -261,38 +260,6 @@ def brute_force_csp(instance: CspInstance) -> Scalar:
                              for sig, on in instance.constraints])[0]
 
 
-def brute_force_csp_by_components(instance: CspInstance) -> Scalar:
-    """#CSP value as the product of its connected components' values.
-
-    Variables are joined when one scope reads both.  Each component is
-    renumbered 0..c-1 and summed by brute_force_csp, so the cost is
-    2^(largest component) rather than 2^num_vars; the zero-arity
-    constraints form one constant group, and each variable that no
-    constraint reads contributes a factor 2.  Refuses beyond VAR_CAP
-    variables for the whole instance, as brute_force_csp does.
-    """
-    n = instance.num_vars
-    if n > VAR_CAP:
-        return brute_force_csp(instance)  # refuses before enumerating
-    root = component_roots(n, ((on[0], v) for _, on in instance.constraints
-                               for v in on[1:]))
-    groups = {}  # component root, or None for the constants -> constraints
-    for sig, on in instance.constraints:
-        groups.setdefault(root[on[0]] if on else None, []).append((sig, on))
-    total = ONE
-    read = 0
-    for cons in groups.values():
-        ids = {}
-        cons = tuple((sig, tuple(ids.setdefault(v, len(ids)) for v in on))
-                     for sig, on in cons)
-        read += len(ids)
-        value = brute_force_csp(CspInstance(len(ids), cons))
-        if not value:
-            return ZERO
-        total = total * value
-    return total * (1 << (n - read))
-
-
 def csp_to_grid(instance: CspInstance) -> SignatureGrid:
     """The bipartite Holant form: equality vertices | constraint vertices.
 
@@ -532,7 +499,7 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
             _quad_add(quad, gmask, c)
     if zero_instance:
         return ZERO
-    reduced = rref(rows)
+    reduced = rref(sorted(rows))  # rising pivots: short back-substitution
     if 0 in reduced:  # the row 0 = 1
         return ZERO
     pivots = {b - 1: (row >> 1, row & 1) for b, row in reduced.items()}

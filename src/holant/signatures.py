@@ -155,6 +155,8 @@ def equality(n: int) -> Signature:
     """=_n: 1 on the all-zero and all-one assignments."""
     if n < 1:
         raise ValueError("equality needs arity >= 1")
+    if n > ARITY_CAP:  # refused before the 2^n table is built
+        raise ValueError(f"arity {n} exceeds the cap of {ARITY_CAP}")
     values = [ZERO] * (1 << n)
     values[0] = ONE
     values[-1] = ONE

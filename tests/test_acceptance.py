@@ -287,6 +287,25 @@ def test_affine_evaluator_takes_a_long_disequality_cycle_quickly():
         assert eval_affine_csp(cycle) == Scalar.from_int(2)
 
 
+def test_affine_evaluator_takes_a_shuffled_disequality_cycle_quickly():
+    n = 4000
+    cons = [(disequality(), (v, (v + 1) % n)) for v in range(n)]
+    random.Random(3).shuffle(cons)
+    cycle = CspInstance(n, tuple(cons))
+    with criterion("affine evaluator, shuffled 4,000-variable cycle", 0.5):
+        assert eval_affine_csp(cycle) == Scalar.from_int(2)
+
+
+def test_auto_plans_a_product_path_beside_an_affine_path():
+    # neither family holds for the pair, and 30 variables is past the
+    # brute-force cap; each path alone has a closed-form evaluator
+    cons = [(S([1, 0, 2]), (v, v + 1)) for v in range(14)]
+    cons += [(S([1, 1, -1]), (v, v + 1)) for v in range(15, 29)]
+    with criterion("15-variable product path beside an affine one", 0.1):
+        assert evaluate(CspInstance(30, tuple(cons))) == \
+            ("affine", Scalar.from_int(4194560))
+
+
 def test_brute_force_pays_for_the_largest_component_only():
     with criterion("20 variables in four 5-variable blocks, auto and brute",
                    0.5):

@@ -21,7 +21,7 @@ from holant.dichotomy import (
 from holant.fkt import builtin_fragment, evaluate_matchgate_grid
 from holant.grids import CspInstance, SignatureGrid, brute_force_csp, \
     brute_force_holant
-from holant.scalar import I, Scalar, ZETA8
+from holant.scalar import I, ONE, Scalar, ZETA8
 from holant.signatures import Signature, equality, exact_one, unary
 from holant.transforms import H2, apply_matrix, scale_by_weight, transform
 
@@ -337,3 +337,125 @@ def test_auto_falls_back_when_a_builtin_fragment_exceeds_the_cap():
     grid = _all_zero_pair(10)
     assert evaluate(grid, "auto") == ("fkt", brute_force_holant(grid))
     assert brute_force_holant(grid) == Scalar.from_int(1)
+
+
+# -- planning per connected component ------------------------------------------------
+
+
+def _block(rng, kind):
+    """A connected block of one strategy's signatures on its own variables.
+
+    Product blocks open with [1,0,2] and affine blocks with [1,1,-1], so
+    neither family holds beside the other's block and the FKT route
+    refuses the product one; fkt blocks are trees of H2·exact-one(3),
+    brute blocks trees of OR2 and OR3.
+    """
+    if kind == "fkt":
+        f = apply_matrix(exact_one(3), H2)
+        cons = [(f, (0, 1, 2))]
+        for _ in range(rng.randint(0, 2)):
+            n = 1 + 2 * len(cons)
+            cons.append((f, (rng.randrange(n), n, n + 1)))
+        return CspInstance(1 + 2 * len(cons), tuple(cons))
+    pool = {
+        "product": rand_product_signature,
+        "affine": rand_affine_signature,
+        "brute": lambda rng, k: S([0] + [1] * k),
+    }[kind]
+    n = rng.randint(4, 8)
+    first = {"product": S([1, 0, 2]), "affine": S([1, 1, -1]),
+             "brute": S([0, 1, 1])}[kind]
+    cons = [(first, (0, 1))]
+    for v in range(2, n):  # a random tree keeps the block connected
+        cons.append((pool(rng, 2), (rng.randrange(v), v)))
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randint(1, 3)
+        cons.append((pool(rng, k), tuple(rng.randrange(n) for _ in range(k))))
+    return CspInstance(n, tuple(cons))
+
+
+def random_block_instance(rng):
+    """40-120 variables in shuffled blocks of one to four strategies, a few
+    of them unread.  At most one draw in five keeps a block whose value is
+    zero.  Returns the instance, each block's strategy, and the value as
+    the product of the per-block brute_force_csp values."""
+    kinds = rng.sample(("product", "affine", "fkt", "brute"), rng.randint(1, 4))
+    zero_ok = rng.random() < 0.2
+    target = rng.randint(40, 112)  # a block has at most 8 variables
+    blocks = []
+    read = 0
+    expected = ONE
+    while read < target:
+        kind = rng.choice(kinds)
+        block = _block(rng, kind)
+        value = brute_force_csp(block)
+        if value or zero_ok:
+            blocks.append((kind, block))
+            read += block.num_vars
+            expected = expected * value
+    n = read + rng.choice((0, 0, 1, 3))
+    names = rng.sample(range(n), n)
+    cons = []
+    base = 0
+    for _, block in blocks:
+        cons += [(sig, tuple(names[base + v] for v in on))
+                 for sig, on in block.constraints]
+        base += block.num_vars
+    rng.shuffle(cons)
+    return (CspInstance(n, tuple(cons)), [k for k, _ in blocks],
+            expected * (1 << (n - read)))
+
+
+def test_auto_plans_each_component_with_its_own_strategy():
+    cost = ("product", "affine", "fkt", "brute")
+    rng = random.Random(16)
+    drawn = set()
+    for _ in range(40):
+        inst, kinds, expected = random_block_instance(rng)
+        assert 40 <= inst.num_vars <= 120
+        mode, value = evaluate(inst)
+        assert value == expected, inst
+        costliest = max(kinds, key=cost.index)
+        if value:
+            # every strategy below the costliest block's is skipped
+            assert mode == costliest, (mode, kinds)
+            drawn.add(f"{mode} as the costliest")
+        else:
+            # the first zero block ends the loop
+            assert cost.index(mode) <= cost.index(costliest), (mode, kinds)
+            drawn.add("a zero block")
+        if len(set(kinds)) == 4:
+            drawn.add("all four strategies")
+    assert drawn == {"product as the costliest", "affine as the costliest",
+                     "fkt as the costliest", "brute as the costliest",
+                     "a zero block", "all four strategies"}
+
+
+def test_each_block_kind_takes_its_own_strategy():
+    rng = random.Random(17)
+    for kind in ("product", "affine", "fkt", "brute"):
+        for _ in range(10):
+            block = _block(rng, kind)
+            assert evaluate(block) == (kind, brute_force_csp(block)), block
+
+
+def _or2_star(leaves):
+    or2 = S([0, 1, 1])
+    return CspInstance(leaves + 1, tuple((or2, (0, v))
+                                         for v in range(1, leaves + 1)))
+
+
+def test_auto_falls_through_to_brute_force_beyond_the_arity_cap():
+    # variable 0 has degree 17, past ARITY_CAP: its =_17 cannot be built
+    assert evaluate(_or2_star(17)) == ("brute", Scalar.from_int(131073))
+    with pytest.raises(ValueError, match="^arity 17 exceeds the cap of 16$"):
+        evaluate(_or2_star(17), "fkt")
+
+
+def test_every_mode_refuses_a_star_of_64_leaves():
+    star = _or2_star(64)
+    for mode in ("auto", "product", "affine", "fkt", "brute"):
+        with pytest.raises(ValueError):
+            evaluate(star, mode)
+    with pytest.raises(ValueError, match="^arity 64 exceeds the cap of 16$"):
+        equality(64)

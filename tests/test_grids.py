@@ -18,7 +18,6 @@ from holant.grids import (
     CspInstance,
     SignatureGrid,
     brute_force_csp,
-    brute_force_csp_by_components,
     brute_force_holant,
     csp_to_grid,
     eval_affine_csp,
@@ -27,9 +26,10 @@ from holant.grids import (
     two_stretch,
     vandermonde_interpolate,
 )
-from holant import grids
+from holant import dichotomy
 from holant._embedding import component_roots
 from holant._gf2 import rref
+from holant.dichotomy import evaluate
 from holant.scalar import I, ONE, ZERO, Scalar, ZETA8
 from holant.signatures import (
     Signature,
@@ -227,7 +227,7 @@ def test_csp_grid_agrees_with_brute_force_on_randoms():
         assert brute_force_holant(csp_to_grid(inst)) == brute_force_csp(inst)
 
 
-# -- brute force by components ------------------------------------------------
+# -- brute force by components (the planner's brute branch) ------------------
 
 
 def random_block_csp(rng):
@@ -258,7 +258,8 @@ def test_component_route_matches_exhaustive_brute_force():
     drawn = set()
     for _ in range(300):
         inst = random_block_csp(rng)
-        value = brute_force_csp_by_components(inst)
+        mode, value = evaluate(inst, "brute")
+        assert mode == "brute"
         assert value == brute_force_csp(inst), inst
         root = component_roots(inst.num_vars, (
             (on[0], v) for _, on in inst.constraints for v in on[1:]))
@@ -283,19 +284,19 @@ def test_component_route_matches_exhaustive_brute_force():
 
 def test_component_route_enumerates_each_component_once(monkeypatch):
     sizes = []
-    exhaustive = grids.brute_force_csp
+    exhaustive = dichotomy.brute_force_csp
 
     def record(inst):
         sizes.append(inst.num_vars)
         return exhaustive(inst)
 
-    monkeypatch.setattr(grids, "brute_force_csp", record)
-    assert brute_force_csp_by_components(four_block_csp()) == 17 ** 4
+    monkeypatch.setattr(dichotomy, "brute_force_csp", record)
+    assert evaluate(four_block_csp(), "brute") == ("brute", 17 ** 4)
     assert sizes == [5, 5, 5, 5]
 
     sizes.clear()
     inst = CspInstance(4, ((Signature([0, 0]), (0,)), (equality(2), (1, 2))))
-    assert brute_force_csp_by_components(inst) == ZERO
+    assert evaluate(inst, "brute") == ("brute", ZERO)
     assert sizes == [1]
 
 
