@@ -24,9 +24,8 @@ are exact and scale-invariant, and failures carry a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ._gf2 import parity, rref
+from ._record import Record
 from .scalar import I, ONE, ZERO, Scalar, zeta_power
 from .signatures import Signature, _reindex, normalize, unary
 from .transforms import H2, apply_matrix, scale_by_weight
@@ -170,11 +169,12 @@ def is_degenerate(f: Signature):
     return True, [g for _, g in by_position]
 
 
-@dataclass(frozen=True)
-class ProductAnalysis:
-    member: bool
-    factors: tuple | None = None
-    witness: dict | None = None
+class ProductAnalysis(Record):
+    __slots__ = ("member", "factors", "witness")
+
+    def __init__(self, member: bool, factors: tuple | None = None,
+                 witness: dict | None = None):
+        self._init(member, factors, witness)
 
     def __bool__(self) -> bool:
         return self.member
@@ -210,8 +210,7 @@ def is_product(f: Signature) -> ProductAnalysis:
 # -- affine support and quadratic phase --------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineSupport:
+class AffineSupport(Record):
     """The support of a signature as an affine subspace of GF(2)^n.
 
     `point` is the lexicographically least support index.  `basis` spans
@@ -222,11 +221,11 @@ class AffineSupport:
     equals rhs.
     """
 
-    arity: int
-    point: int
-    basis: tuple
-    free: tuple
-    constraints: tuple
+    __slots__ = ("arity", "point", "basis", "free", "constraints")
+
+    def __init__(self, arity: int, point: int, basis: tuple, free: tuple,
+                 constraints: tuple):
+        self._init(arity, point, basis, free, constraints)
 
     @property
     def dimension(self) -> int:
@@ -315,16 +314,17 @@ def compress(f: Signature, free=None) -> Signature:
     return Signature([values[y] for y in range(1 << k)])
 
 
-@dataclass(frozen=True)
-class Z4Polynomial:
+class Z4Polynomial(Record):
     """A multilinear polynomial over Z4 in up to `arity` variables.
 
     Monomials are bitmasks in signature index convention (x1 is the top
     bit); coefficients are nonzero residues mod 4.
     """
 
-    arity: int
-    coefficients: tuple
+    __slots__ = ("arity", "coefficients")
+
+    def __init__(self, arity: int, coefficients: tuple):
+        self._init(arity, coefficients)
 
     def as_dict(self) -> dict:
         return dict(self.coefficients)
@@ -377,14 +377,15 @@ def z4_polynomial(f: Signature) -> Z4Polynomial:
     return Z4Polynomial(n, terms)
 
 
-@dataclass(frozen=True)
-class AffineAnalysis:
-    member: bool
-    scale: Scalar | None = None
-    support: AffineSupport | None = None
-    polynomial: Z4Polynomial | None = None
-    reason: str | None = None
-    witness: dict | None = None
+class AffineAnalysis(Record):
+    __slots__ = ("member", "scale", "support", "polynomial", "reason",
+                 "witness")
+
+    def __init__(self, member: bool, scale: Scalar | None = None,
+                 support: AffineSupport | None = None,
+                 polynomial: Z4Polynomial | None = None,
+                 reason: str | None = None, witness: dict | None = None):
+        self._init(member, scale, support, polynomial, reason, witness)
 
     def __bool__(self) -> bool:
         return self.member
@@ -435,12 +436,12 @@ def is_affine(f: Signature) -> AffineAnalysis:
 # -- matching identities ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchgateAnalysis:
-    member: bool
-    parity: str
-    reason: str | None = None
-    witness: dict | None = None
+class MatchgateAnalysis(Record):
+    __slots__ = ("member", "parity", "reason", "witness")
+
+    def __init__(self, member: bool, parity: str, reason: str | None = None,
+                 witness: dict | None = None):
+        self._init(member, parity, reason, witness)
 
     def __bool__(self) -> bool:
         return self.member
@@ -535,11 +536,12 @@ def _pfaffian_form_violation(f: Signature, a0: int):
 # -- transformed families -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedMembership:
-    member: bool
-    twist: Scalar | None = None
-    inner: object = None
+class TwistedMembership(Record):
+    __slots__ = ("member", "twist", "inner")
+
+    def __init__(self, member: bool, twist: Scalar | None = None,
+                 inner: object = None):
+        self._init(member, twist, inner)
 
     def __bool__(self) -> bool:
         return self.member
@@ -579,17 +581,20 @@ def is_twisted_hadamard_matchgate(f: Signature) -> TwistedMembership:
 # -- combined report ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    parity: str
-    degenerate: bool
-    product: bool
-    affine: bool
-    matchgate: bool
-    hadamard_matchgate: bool
-    twisted_affine: bool
-    twisted_hadamard_matchgate: bool
-    details: dict = field(compare=False, repr=False, default_factory=dict)
+class ClassReport(Record):
+    __slots__ = ("parity", "degenerate", "product", "affine", "matchgate",
+                 "hadamard_matchgate", "twisted_affine",
+                 "twisted_hadamard_matchgate", "details")
+    _compared = __slots__[:-1]  # details is neither compared nor shown
+
+    def __init__(self, parity: str, degenerate: bool, product: bool,
+                 affine: bool, matchgate: bool, hadamard_matchgate: bool,
+                 twisted_affine: bool, twisted_hadamard_matchgate: bool,
+                 details: dict | None = None):
+        self._init(parity, degenerate, product, affine, matchgate,
+                   hadamard_matchgate, twisted_affine,
+                   twisted_hadamard_matchgate,
+                   {} if details is None else details)
 
     def memberships(self) -> dict:
         return {

@@ -28,9 +28,9 @@ promises.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from ._embedding import component_roots
+from ._record import Record
 from .classes import (
     is_affine,
     is_hadamard_matchgate,
@@ -59,8 +59,7 @@ _FAMILY_TESTS = {
 }
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
+class DichotomyVerdict(Record):
     """Outcome of a classification run.
 
     ``category`` is one of ``"PTime"``, ``"PlanarPTimeOnly"`` or
@@ -70,9 +69,12 @@ class DichotomyVerdict:
     the failure detail reported by the membership test.
     """
 
-    category: str
-    containments: tuple[str, ...]
-    witnesses: dict = field(default_factory=dict)
+    __slots__ = ("category", "containments", "witnesses")
+
+    def __init__(self, category: str, containments: tuple[str, ...],
+                 witnesses: dict | None = None):
+        self._init(category, containments,
+                   {} if witnesses is None else witnesses)
 
     def holds(self, family: str) -> bool:
         return family in self.containments
@@ -250,14 +252,20 @@ def evaluate(problem, mode: str = "auto"):
     planar and fully realized, and brute force otherwise.  A forced mode
     that does not apply raises ValueError.
     """
+    return _evaluate(problem, mode, functools.cache(
+        lambda family, f: bool(_FAMILY_TESTS[family](f))))
+
+
+def _evaluate(problem, mode, member):
+    """evaluate, with member(family, signature) the membership test; the
+    parts of a csp share it, so each signature is tested once per family."""
     csp = isinstance(problem, CspInstance)
     if mode == "auto":
         if csp:
-            verdict = classify_csp(dict.fromkeys(
-                sig for sig, _ in problem.constraints))
-            if verdict.holds("product"):
+            sigs = dict.fromkeys(sig for sig, _ in problem.constraints)
+            if all(member("product", f) for f in sigs):
                 mode = "product"
-            elif verdict.holds("affine"):
+            elif all(member("affine", f) for f in sigs):
                 mode = "affine"
         elif problem.dangling or not problem.is_planar():
             mode = "brute"
@@ -281,7 +289,7 @@ def evaluate(problem, mode: str = "auto"):
     if len(parts) < 2:  # connected: summed whole, nothing to plan again
         return "brute", brute_force_csp(parts[0]) * total if parts else total
     for part in parts:
-        strategy, value = evaluate(part, mode)
+        strategy, value = _evaluate(part, mode, member)
         used = max(used, strategy, key=_COST.index)
         if not value:
             return used, value

@@ -396,13 +396,10 @@ def count_pm_fkt(g: PlanarGraph) -> Scalar:
 
 def _count_and_orientation(g: PlanarGraph):
     """count_pm_fkt(g) and the Kasteleyn orientation of g, None when g is
-    disconnected.  A connected graph is its own only component, so one
-    orientation serves both."""
-    try:
-        orient = kasteleyn_orient(g)
-    except ValueError:
-        return count_pm_fkt(g), None
-    return _count_oriented(g, orient, [0] * g.num_vertices), orient
+    disconnected.  One orientation pass serves both; the component labels
+    tell whether g is connected."""
+    orient, label = _orient_components(g)
+    return _count_oriented(g, orient, label), None if any(label) else orient
 
 
 # -- matchgate fragments ---------------------------------------------------------

@@ -18,10 +18,10 @@ interpolation harness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ._embedding import component_roots, is_planar_embedding
 from ._gf2 import rref
+from ._record import Record
 from .classes import is_affine, is_product
 from .scalar import ONE, SQRT2, ZERO, ZETA8, Scalar, i_power
 from .signatures import ARITY_CAP, Signature, _contract, _sum_products, \
@@ -32,10 +32,11 @@ EDGE_CAP = 24
 VAR_CAP = 20
 
 
-@dataclass(frozen=True)
-class GridVertex:
-    signature: Signature
-    edges: tuple
+class GridVertex(Record):
+    __slots__ = ("signature", "edges")
+
+    def __init__(self, signature: Signature, edges: tuple):
+        self._init(signature, edges)
 
     @property
     def degree(self) -> int:
@@ -218,8 +219,7 @@ def two_stretch(grid: SignatureGrid) -> SignatureGrid:
 # -- #CSP ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CspInstance:
+class CspInstance(Record):
     """Counting CSP: num_vars variables, constraints as (signature, scope).
 
     Scopes are tuples of 0-based variable ids; a variable may repeat
@@ -227,8 +227,11 @@ class CspInstance:
     assignments of the product of constraint values.
     """
 
-    num_vars: int
-    constraints: tuple
+    __slots__ = ("num_vars", "constraints")
+
+    def __init__(self, num_vars: int, constraints: tuple):
+        self._init(num_vars, constraints)
+        self.__post_init__()  # perfbench/tracing.py spans it by this name
 
     def __post_init__(self):
         if self.num_vars < 0:

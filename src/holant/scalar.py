@@ -7,13 +7,19 @@ root of unity.  The field contains the imaginary unit (zeta^2) and sqrt(2)
 needs, and it supports exact equality tests, unlike floats.
 
 A :class:`Scalar` stores four integer numerators over one positive common
-denominator, reduced so the gcd of all five is 1.  Multiplication follows
-the relation zeta^4 = -1.
+denominator, reduced so the gcd of all five is 1.  That canonical form is
+unique, so equality is a tuple comparison, and it is what lets the hot
+paths skip the reduction: a result over denominator 1 is canonical as it
+stands, and so is a sum in which exactly one operand has denominator 1.
+Such results are built by :func:`_raw` without a gcd; every other result
+goes through the public constructor, which reduces.  Multiplication
+follows the relation zeta^4 = -1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -42,12 +48,12 @@ class Scalar:
 
     @classmethod
     def from_int(cls, k: int) -> Scalar:
-        return cls((k, 0, 0, 0), 1)
+        return _raw((operator.index(k), 0, 0, 0), 1)
 
     @classmethod
     def from_fraction(cls, q) -> Scalar:
         q = Fraction(q)
-        return cls((q.numerator, 0, 0, 0), q.denominator)
+        return _raw((q.numerator, 0, 0, 0), q.denominator)
 
     @classmethod
     def of(cls, a0=0, a1=0, a2=0, a3=0) -> Scalar:
@@ -55,10 +61,12 @@ class Scalar:
         a0, a1, a2, a3 = Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3)
         d = math.lcm(a0.denominator, a1.denominator,
                      a2.denominator, a3.denominator)
-        return cls((a0.numerator * (d // a0.denominator),
-                    a1.numerator * (d // a1.denominator),
-                    a2.numerator * (d // a2.denominator),
-                    a3.numerator * (d // a3.denominator)), d)
+        # canonical: for each prime p dividing d, the a_k whose denominator
+        # holds the full power of p in d has a numerator prime to p
+        return _raw((a0.numerator * (d // a0.denominator),
+                     a1.numerator * (d // a1.denominator),
+                     a2.numerator * (d // a2.denominator),
+                     a3.numerator * (d // a3.denominator)), d)
 
     # -- basic structure ---------------------------------------------------
 
@@ -97,23 +105,51 @@ class Scalar:
 
     # -- ring operations ---------------------------------------------------
 
+    # Each operation unpacks the numerators and takes a Scalar operand
+    # as it is; only ints and Fractions go through _coerce.
+
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
         sd, od = self._d, other._d
-        return Scalar(tuple(a * od + b * sd
-                            for a, b in zip(self._n, other._n)), sd * od)
+        if sd == od:
+            n = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            return _raw(n, 1) if sd == 1 else Scalar(n, sd)
+        # over one denominator d > 1 against 1, the sum stays coprime to d
+        if od == 1:
+            return _raw((a0 + b0 * sd, a1 + b1 * sd,
+                         a2 + b2 * sd, a3 + b3 * sd), sd)
+        if sd == 1:
+            return _raw((a0 * od + b0, a1 * od + b1,
+                         a2 * od + b2, a3 * od + b3), od)
+        return Scalar((a0 * od + b0 * sd, a1 * od + b1 * sd,
+                       a2 * od + b2 * sd, a3 * od + b3 * sd), sd * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
         sd, od = self._d, other._d
-        return Scalar(tuple(a * od - b * sd
-                            for a, b in zip(self._n, other._n)), sd * od)
+        if sd == od:
+            n = (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+            return _raw(n, 1) if sd == 1 else Scalar(n, sd)
+        if od == 1:
+            return _raw((a0 - b0 * sd, a1 - b1 * sd,
+                         a2 - b2 * sd, a3 - b3 * sd), sd)
+        if sd == 1:
+            return _raw((a0 * od - b0, a1 * od - b1,
+                         a2 * od - b2, a3 * od - b3), od)
+        return Scalar((a0 * od - b0 * sd, a1 * od - b1 * sd,
+                       a2 * od - b2 * sd, a3 * od - b3 * sd), sd * od)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -122,29 +158,27 @@ class Scalar:
         return other - self
 
     def __neg__(self) -> Scalar:
-        s = Scalar.__new__(Scalar)
         n0, n1, n2, n3 = self._n
-        s._n = (-n0, -n1, -n2, -n3)
-        s._d = self._d
-        return s
+        return _raw((-n0, -n1, -n2, -n3), self._d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = [0, 0, 0, 0]
-        for i, a in enumerate(self._n):
-            if not a:
-                continue
-            for j, b in enumerate(other._n):
-                if not b:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += a * b
-                else:
-                    out[k - 4] -= a * b
-        return Scalar(tuple(out), self._d * other._d)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        if not (a1 or a2 or a3):
+            n = (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+        elif not (b1 or b2 or b3):
+            n = (a0 * b0, a1 * b0, a2 * b0, a3 * b0)
+        else:  # zeta^4 = -1 folds the degrees 4..6 back with a sign
+            n = (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                 a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                 a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                 a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+        d = self._d * other._d
+        return _raw(n, 1) if d == 1 else Scalar(n, d)
 
     __rmul__ = __mul__
 
@@ -159,7 +193,8 @@ class Scalar:
                 out[m] += a
             else:
                 out[m - 4] -= a
-        return Scalar(tuple(out), self._d)
+        # a signed permutation of the numerators keeps their gcd
+        return _raw(tuple(out), self._d)
 
     def conjugate(self) -> Scalar:
         return self.galois(7)
@@ -176,11 +211,9 @@ class Scalar:
         w = self.galois(3) * self.galois(5) * self.galois(7)
         norm = self * w
         assert norm.is_rational and norm._n[0] != 0
-        return w._scaled(Fraction(norm._d, norm._n[0]))
-
-    def _scaled(self, q: Fraction) -> Scalar:
-        return Scalar(tuple(a * q.numerator for a in self._n),
-                      self._d * q.denominator)
+        # w / norm; the constructor moves the sign of norm to the numerators
+        nd = norm._d
+        return Scalar(tuple(a * nd for a in w._n), w._d * norm._n[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -211,10 +244,11 @@ class Scalar:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._n == other._n and self._d == other._d
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
         # Rationals hash as the equal int or Fraction does, without
@@ -255,6 +289,18 @@ class Scalar:
         return f"Scalar({self._n}, {self._d})"
 
 
+def _raw(n, d) -> Scalar:
+    """The Scalar with numerators n over d, trusted to be canonical:
+    d > 0 and gcd(*n, d) == 1, as it always is when d == 1."""
+    s = _new(Scalar)
+    s._n = n
+    s._d = d
+    return s
+
+
+_new = object.__new__
+
+
 def _coerce(value) -> Scalar:
     if isinstance(value, Scalar):
         return value
@@ -273,7 +319,7 @@ def zeta_power(k: int) -> Scalar:
         out[m] = 1
     else:
         out[m - 4] = -1
-    return Scalar(tuple(out), 1)
+    return _raw(tuple(out), 1)
 
 
 ZERO = Scalar.from_int(0)
@@ -329,12 +375,22 @@ def parse_scalar(obj) -> Scalar:
     raise ValueError(f"not a scalar encoding: {obj!r}")
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _format_rational(n: int, d: int) -> str:
+    """n/d in lowest terms, given d > 0 and gcd(n, d) == 1."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def scalar_to_json(s: Scalar):
     """Emit the canonical JSON form (bare string when rational)."""
-    if s.is_rational:
-        return _format_rational(s.as_fraction())
-    return [_format_rational(c) for c in s.coefficients]
+    n0, n1, n2, n3 = s._n
+    d = s._d
+    if not (n1 or n2 or n3):
+        # canonical form: gcd(n0, d) == 1 already
+        return _format_rational(n0, d)
+    if d == 1:
+        return [str(n0), str(n1), str(n2), str(n3)]
+    out = []
+    for n in s._n:
+        g = math.gcd(n, d)
+        out.append(_format_rational(n // g, d // g))
+    return out

@@ -21,9 +21,9 @@ flip_var, which negates an input, keeps a loop of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .scalar import ONE, ZERO, Scalar
 
 ARITY_CAP = 16
@@ -32,8 +32,10 @@ ARITY_CAP = 16
 def _coerce_scalar(v) -> Scalar:
     if isinstance(v, Scalar):
         return v
-    if isinstance(v, (int, Fraction)):
-        return Scalar.from_fraction(Fraction(v))
+    if isinstance(v, int):
+        return Scalar.from_int(v)
+    if isinstance(v, Fraction):
+        return Scalar.from_fraction(v)
     raise TypeError(f"not a scalar value: {v!r}")
 
 
@@ -369,8 +371,7 @@ def normalize(f: Signature):
 # -- matrix view -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignatureMatrix:
+class SignatureMatrix(Record):
     """Prefix/suffix flattening of a signature.
 
     Rows follow x1..xk lexicographically; columns follow the reversed
@@ -378,8 +379,10 @@ class SignatureMatrix:
     the standard M(f) with row x1x2 reading f_r00, f_r10, f_r01, f_r11.
     """
 
-    split: int
-    rows: tuple
+    __slots__ = ("split", "rows")
+
+    def __init__(self, split: int, rows: tuple):
+        self._init(split, rows)
 
     @property
     def shape(self):

@@ -314,20 +314,17 @@ def test_fkt_disconnected_graph_has_no_orientation(capsys, tmp_path):
 
 
 def test_fkt_orients_a_connected_graph_once(capsys, tmp_path, monkeypatch):
-    import holant.cli
     import holant.fkt
 
     calls = []
-    orient = holant.fkt.kasteleyn_orient
+    orient = holant.fkt._orient_components
 
     def counting(g):
         calls.append(g)
         return orient(g)
 
-    # count calls from wherever the command reaches the orientation
-    for module in (holant.cli, holant.fkt):
-        monkeypatch.setattr(module, "kasteleyn_orient", counting,
-                            raising=False)
+    # every orientation pass, kasteleyn_orient's included, runs this
+    monkeypatch.setattr(holant.fkt, "_orient_components", counting)
     cycle = PlanarGraph(4, [(0, 1, ONE), (1, 2, ONE), (2, 3, ONE),
                             (3, 0, 2)],
                         [(3, 0), (0, 1), (1, 2), (2, 3)])

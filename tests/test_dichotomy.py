@@ -431,6 +431,32 @@ def test_auto_plans_each_component_with_its_own_strategy():
                      "a zero block", "all four strategies"}
 
 
+def test_parts_reuse_the_membership_tests_of_the_whole(monkeypatch):
+    calls = {}
+
+    def counting(family, test):
+        def counted(f):
+            calls[family, f] = calls.get((family, f), 0) + 1
+            return test(f)
+        return counted
+
+    for family, test in list(dichotomy._FAMILY_TESTS.items()):
+        monkeypatch.setitem(dichotomy._FAMILY_TESTS, family,
+                            counting(family, test))
+    rng = random.Random(18)
+    seen = 0
+    while seen < 5:
+        inst, kinds, expected = random_block_instance(rng)
+        if "brute" not in kinds or len(set(kinds)) < 3:
+            continue
+        seen += 1
+        calls.clear()
+        mode, value = evaluate(inst)
+        assert value == expected
+        assert mode == "brute" or not value
+        assert max(calls.values()) == 1, inst
+
+
 def test_each_block_kind_takes_its_own_strategy():
     rng = random.Random(17)
     for kind in ("product", "affine", "fkt", "brute"):

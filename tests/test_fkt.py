@@ -429,6 +429,28 @@ def test_a_union_of_ladders_beyond_the_enumeration_cap():
     assert count_pm_fkt(g) == want
 
 
+def test_count_and_orientation_orients_once(monkeypatch):
+    calls = []
+    orient_components = fkt._orient_components
+
+    def counting(g):
+        calls.append(g)
+        return orient_components(g)
+
+    monkeypatch.setattr(fkt, "_orient_components", counting)
+    ladder = grid_graph(2, 300)
+    two = disjoint_union([ladder, grid_graph(2, 300)], random.Random(56))
+    value, orientation = fkt._count_and_orientation(two)
+    assert len(calls) == 1
+    assert orientation is None
+    assert value == Scalar.from_int(fibonacci(301) ** 2)
+    calls.clear()
+    value, orientation = fkt._count_and_orientation(ladder)
+    assert len(calls) == 1
+    assert value == Scalar.from_int(fibonacci(301))
+    assert orientation == orient_components(ladder)[0]
+
+
 def test_fkt_matches_enumeration_unit_weights():
     rng = random.Random(15)
     for _ in range(120):

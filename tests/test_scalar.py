@@ -213,3 +213,156 @@ def test_canonical_emit():
     assert scalar_to_json(Scalar.from_fraction(Fraction(-1, 3))) == "-1/3"
     assert scalar_to_json(I) == ["0", "0", "1", "0"]
     assert scalar_to_json(SQRT2 / 2) == ["0", "1/2", "0", "-1/2"]
+
+
+# -- exact oracle: four Fraction coefficients modulo zeta^4 = -1 -------------
+
+integers = st.integers(min_value=-50, max_value=50)
+integer_scalars = st.builds(Scalar.of, integers, integers, integers, integers)
+rational_scalars = st.builds(Scalar.of, rationals)
+any_scalars = st.one_of(scalars, integer_scalars, rational_scalars)
+operands = st.one_of(any_scalars, integers, rationals)
+
+
+def ref(x):
+    """The coefficients of a Scalar, int or Fraction as four Fractions."""
+    if isinstance(x, Scalar):
+        return x.coefficients
+    return (Fraction(x), Fraction(0), Fraction(0), Fraction(0))
+
+
+def ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ref_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def ref_mul(x, y):
+    out = [Fraction(0)] * 4
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if i + j < 4:
+                out[i + j] += a * b
+            else:
+                out[i + j - 4] -= a * b
+    return tuple(out)
+
+
+def canonical(s):
+    assert type(s) is Scalar
+    assert all(type(n) is int for n in s._n) and type(s._d) is int
+    assert s._d > 0
+    assert math.gcd(*s._n, s._d) == 1
+    return s
+
+
+@given(any_scalars, operands)
+def test_ring_operations_match_fraction_oracle(a, b):
+    ra, rb = ref(a), ref(b)
+    assert canonical(a + b).coefficients == ref_add(ra, rb)
+    assert canonical(b + a).coefficients == ref_add(ra, rb)
+    assert canonical(a - b).coefficients == ref_sub(ra, rb)
+    assert canonical(b - a).coefficients == ref_sub(rb, ra)
+    assert canonical(a * b).coefficients == ref_mul(ra, rb)
+    assert canonical(b * a).coefficients == ref_mul(ra, rb)
+    assert canonical(-a).coefficients == tuple(-c for c in ra)
+    assert (a == b) == (ra == rb) == (b == a)
+
+
+@given(any_scalars, operands)
+def test_division_matches_fraction_oracle(a, b):
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        return
+    q = canonical(a / b)
+    assert ref_mul(q.coefficients, ref(b)) == ref(a)
+    if not a.is_zero:
+        r = canonical(b / a)
+        assert ref_mul(r.coefficients, ref(a)) == ref(b)
+
+
+@given(any_scalars, st.integers(min_value=-4, max_value=6))
+def test_powers_match_fraction_oracle(a, k):
+    if a.is_zero and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            a ** k
+        return
+    p = canonical(a ** k)
+    want = ref(1)
+    for _ in range(abs(k)):
+        want = ref_mul(want, ref(a))
+    if k >= 0:
+        assert p.coefficients == want
+    else:
+        assert ref_mul(p.coefficients, want) == ref(1)
+
+
+@given(any_scalars)
+def test_wire_form_matches_fraction_formatting(a):
+    out = scalar_to_json(a)
+    if a.is_rational:
+        assert out == str(a.as_fraction())
+    else:
+        assert out == [str(c) for c in a.coefficients]
+    assert canonical(parse_scalar(out)) == a
+
+
+@given(st.one_of(integers, rationals,
+                 st.integers(min_value=-(2 ** 80), max_value=2 ** 80)))
+def test_hashes_match_python_numbers_after_arithmetic(q):
+    s = Scalar.from_fraction(q)
+    assert hash(s) == hash(q)
+    assert hash(s * 1) == hash(q) == hash((s + ZETA8) - ZETA8)
+    if isinstance(q, int):
+        assert hash(Scalar.from_int(q)) == hash(q)
+
+
+def test_fast_path_boundaries():
+    half = Scalar.from_fraction(Fraction(1, 2))
+    third = Scalar.from_fraction(Fraction(1, 3))
+    cases = [
+        (ONE * ONE, (1, 0, 0, 0), 1),
+        (half + half, (1, 0, 0, 0), 1),          # equal denominators reduce
+        (half - half, (0, 0, 0, 0), 1),
+        (half * 2, (1, 0, 0, 0), 1),
+        (2 * half, (1, 0, 0, 0), 1),
+        (half + 1, (3, 0, 0, 0), 2),              # denominator 1 against 2
+        (1 - half, (1, 0, 0, 0), 2),
+        (third + Fraction(1, 6), (1, 0, 0, 0), 2),  # unequal, both above 1
+        (half * SQRT2, (0, 1, 0, -1), 2),         # rational x irrational
+        (SQRT2 * half, (0, 1, 0, -1), 2),
+        (SQRT2 * 2 * half, (0, 1, 0, -1), 1),
+        ((ZETA8 / 2) * (ZETA8 * 2), (0, 0, 1, 0), 1),
+        (ZETA8 * ZETA8 ** 3, (-1, 0, 0, 0), 1),   # degree 4 folds to -1
+        (3 * ZETA8, (0, 3, 0, 0), 1),
+        (ZETA8 + Fraction(1, 2), (1, 2, 0, 0), 2),
+        (Fraction(1, 2) - ZETA8, (1, -2, 0, 0), 2),
+    ]
+    for s, n, d in cases:
+        assert canonical(s)._n == n and s._d == d, (s, n, d)
+    assert Scalar.from_int(2) == 2 and 2 == Scalar.from_int(2)
+    assert half == Fraction(1, 2) and half != 1 and ZETA8 != 0
+    assert half.__eq__("1/2") is NotImplemented
+    assert half.__mul__(0.5) is NotImplemented
+    with pytest.raises(TypeError):
+        half + 0.5
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(TypeError):
+        Scalar((1.5, 0, 0, 0))
+    with pytest.raises(TypeError):
+        Scalar((1.0, 0, 0, 0), 1)
+    with pytest.raises(TypeError):
+        Scalar((1, 0, 0, 0), 2.0)
+    with pytest.raises(TypeError):
+        Scalar.from_int(1.5)
+    with pytest.raises(ZeroDivisionError):
+        Scalar((1, 0, 0, 0), 0)
+    s = canonical(Scalar((2, -4, 6, 0), -4))
+    assert s._n == (-1, 2, -3, 0) and s._d == 2
+    assert canonical(Scalar((0, 0, 0, 0), 7))._d == 1
+    assert canonical(Scalar.from_int(True))._n == (1, 0, 0, 0)
