@@ -303,6 +303,24 @@ def csp_to_grid(instance: CspInstance) -> SignatureGrid:
 # -- product-family evaluator ---------------------------------------------------
 
 
+def _product_plan(analysis):
+    """A product member's factors in 0-based local positions: the value
+    of an arity-0 signature (its one factor; None otherwise), and per
+    factor g of arity k >= 1 with least support point s (0 for a unary)
+    its positions, the bits of s, g[s] and g at the complement of s."""
+    const, blocks = None, []
+    for positions, g in analysis.factors:
+        k = g.arity
+        if k == 0:
+            const = g[0]
+            continue
+        s = min(g.support()) if k > 1 else 0
+        blocks.append((tuple(p - 1 for p in positions),
+                       tuple((s >> (k - j)) & 1 for j in range(1, k + 1)),
+                       g[s], g[s ^ ((1 << k) - 1)]))
+    return const, blocks
+
+
 def eval_product_csp(instance: CspInstance) -> Scalar:
     """Polynomial-time value of an instance whose constraints are all in
     the product family.
@@ -325,29 +343,26 @@ def eval_product_csp(instance: CspInstance) -> Scalar:
     weights = []  # (literal node, weight)
     joins = []
     zero_instance = False
-    analyses = {}  # one membership test per distinct signature
+    plans = {}  # one membership test and one plan per distinct signature
     for sig, on in instance.constraints:
-        analysis = analyses.get(sig)
-        if analysis is None:
-            analysis = analyses[sig] = is_product(sig)
-        if not analysis:
-            raise ValueError(
-                f"constraint on {on} is outside the product family: "
-                f"{analysis.witness}")
-        if sig.is_zero:
+        if sig not in plans:
+            analysis = is_product(sig)
+            if not analysis:
+                raise ValueError(
+                    f"constraint on {on} is outside the product family: "
+                    f"{analysis.witness}")
+            plans[sig] = None if sig.is_zero else _product_plan(analysis)
+        plan = plans[sig]
+        if plan is None:
             zero_instance = True
             continue
-        for positions, g in analysis.factors:
-            k = g.arity
-            if k == 0:
-                scale = scale * g[0]
-                continue
-            s = min(g.support()) if k > 1 else 0
-            nodes = [2 * on[p - 1] + ((s >> (k - j)) & 1)
-                     for j, p in enumerate(positions, 1)]
-            first = nodes[0]
-            weights += ((first, g[s]), (first ^ 1, g[s ^ ((1 << k) - 1)]))
-            for u in nodes[1:]:
+        const, blocks = plan
+        if const is not None:
+            scale = scale * const
+        for positions, bits, w0, w1 in blocks:
+            first, *rest = [2 * on[p] + b for p, b in zip(positions, bits)]
+            weights += ((first, w0), (first ^ 1, w1))
+            for u in rest:
                 joins += ((first, u), (first ^ 1, u ^ 1))
     if zero_instance:
         return ZERO
@@ -456,6 +471,21 @@ def _gauss_sum(variables, quad) -> Scalar:
     return factor * i_power(quad.get(0, 0))
 
 
+def _affine_plan(analysis):
+    """An affine member's scale, support rows and Z4 monomials in 0-based
+    local positions: one (positions, rhs) per support constraint and one
+    (positions, coefficient) per monomial on the free variables."""
+    sup = analysis.support
+    k, free = sup.arity, sup.free
+    kf = len(free)
+    return (analysis.scale,
+            [(tuple(p for p in range(k) if (cmask >> (k - 1 - p)) & 1), rhs)
+             for cmask, rhs in sup.constraints],
+            [(tuple(p - 1 for j, p in enumerate(free)
+                    if (mono >> (kf - 1 - j)) & 1), c)
+             for mono, c in analysis.polynomial.coefficients])
+
+
 def eval_affine_csp(instance: CspInstance) -> Scalar:
     """Polynomial-time value of an instance whose constraints are all
     affine.
@@ -471,34 +501,30 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
     rows = []  # (mask << 1) | rhs: the right-hand side is bit 0
     zero_instance = False
     quad = {}
-    analyses = {}  # one membership test per distinct signature
+    plans = {}  # one membership test and one plan per distinct signature
     for sig, on in instance.constraints:
-        analysis = analyses.get(sig)
-        if analysis is None:
-            analysis = analyses[sig] = is_affine(sig)
-        if not analysis:
-            raise ValueError(
-                f"constraint on {on} is outside the affine family: "
-                f"{analysis.reason}")
-        if sig.is_zero:
+        if sig not in plans:
+            analysis = is_affine(sig)
+            if not analysis:
+                raise ValueError(
+                    f"constraint on {on} is outside the affine family: "
+                    f"{analysis.reason}")
+            plans[sig] = None if sig.is_zero else _affine_plan(analysis)
+        plan = plans[sig]
+        if plan is None:
             zero_instance = True
             continue
-        scale = scale * analysis.scale
-        sup = analysis.support
-        k = sig.arity
-        for cmask, rhs in sup.constraints:
+        lam, sup_rows, monomials = plan
+        scale = scale * lam
+        for positions, rhs in sup_rows:
+            gmask = rhs
+            for p in positions:
+                gmask ^= 2 << on[p]
+            rows.append(gmask)
+        for positions, c in monomials:
             gmask = 0
-            for p in range(1, k + 1):
-                if (cmask >> (k - p)) & 1:
-                    gmask ^= 1 << on[p - 1]
-            rows.append((gmask << 1) | rhs)
-        free = sup.free
-        kf = len(free)
-        for mono, c in analysis.polynomial.coefficients:
-            gmask = 0
-            for j, p in enumerate(free):
-                if (mono >> (kf - 1 - j)) & 1:
-                    gmask |= 1 << on[p - 1]
+            for p in positions:
+                gmask |= 1 << on[p]
             _quad_add(quad, gmask, c)
     if zero_instance:
         return ZERO
@@ -509,8 +535,9 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
     free_vars = [v for v in range(n) if v not in pivots]
     for p, (pmask, prhs) in pivots.items():
         _quad_substitute(quad, p, pmask & ~(1 << p), prhs)
-    bad = [m for m in quad if any((m >> v) & 1 for v in pivots)]
-    assert not bad, "pivot variable survived substitution"
+    pivot_mask = sum(1 << p for p in pivots)
+    assert not any(m & pivot_mask for m in quad), \
+        "pivot variable survived substitution"
     return scale * _gauss_sum(free_vars, quad)
 
 

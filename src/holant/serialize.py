@@ -120,6 +120,20 @@ def parse_signature(obj, path="signature", registry=None) -> Signature:
     return f
 
 
+def _parse_shared(sigs, obj, path, registry):
+    """parse_signature(obj), once per distinct JSON value in one document.
+
+    `sigs` maps repr(obj) to the Signature parsed from it.  repr is
+    injective on decoded JSON, unlike ==, which would take [1, 0, true]
+    or [1.0, 0, 0, 1] for a valid value list seen earlier.
+    """
+    key = repr(obj)
+    sig = sigs.get(key)
+    if sig is None:
+        sig = sigs[key] = parse_signature(obj, path, registry)
+    return sig
+
+
 # -- grids -----------------------------------------------------------------------
 
 
@@ -158,17 +172,20 @@ def grid_to_json(grid: SignatureGrid) -> dict:
 
 
 def parse_grid(obj, path="grid", registry=None) -> SignatureGrid:
+    """Grid from JSON; vertices with equal `sig` values share one
+    Signature, parsed once."""
     _expect(obj, dict, path, "a grid object")
     if "vertices" not in obj:
         raise SchemaError(path, "needs 'vertices'")
     raw = _expect(obj["vertices"], list, f"{path}.vertices", "a list")
     vertices = []
+    sigs = {}
     for k, entry in enumerate(raw):
         vp = f"{path}.vertices[{k}]"
         _expect(entry, dict, vp, "a vertex object")
         if "sig" not in entry or "edges" not in entry:
             raise SchemaError(vp, "needs 'sig' and 'edges'")
-        sig = parse_signature(entry["sig"], f"{vp}.sig", registry)
+        sig = _parse_shared(sigs, entry["sig"], f"{vp}.sig", registry)
         edges = _expect(entry["edges"], list, f"{vp}.edges", "a list")
         vertices.append(
             (sig, tuple(_edge_id_from_json(e, f"{vp}.edges[{j}]")
@@ -197,21 +214,26 @@ def csp_to_json(inst: CspInstance) -> dict:
 
 
 def parse_csp(obj, path="csp", registry=None) -> CspInstance:
+    """CSP instance from JSON; constraints with equal `sig` values share
+    one Signature, parsed once."""
     _expect(obj, dict, path, "a csp object")
     if "vars" not in obj or "constraints" not in obj:
         raise SchemaError(path, "needs 'vars' and 'constraints'")
     n = _expect_count(obj["vars"], f"{path}.vars")
     raw = _expect(obj["constraints"], list, f"{path}.constraints", "a list")
     cons = []
+    sigs = {}
     for k, entry in enumerate(raw):
         cp = f"{path}.constraints[{k}]"
         _expect(entry, dict, cp, "a constraint object")
         if "sig" not in entry or "on" not in entry:
             raise SchemaError(cp, "needs 'sig' and 'on'")
-        sig = parse_signature(entry["sig"], f"{cp}.sig", registry)
+        sig = _parse_shared(sigs, entry["sig"], f"{cp}.sig", registry)
         on = _expect(entry["on"], list, f"{cp}.on", "a list")
-        cons.append((sig, tuple(_expect_int(v, f"{cp}.on[{j}]")
-                                for j, v in enumerate(on))))
+        if not all(v.__class__ is int for v in on):  # find the bad one
+            for j, v in enumerate(on):
+                _expect_int(v, f"{cp}.on[{j}]")
+        cons.append((sig, tuple(on)))
     return CspInstance(n, tuple(cons))
 
 

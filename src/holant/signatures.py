@@ -40,9 +40,14 @@ def _coerce_scalar(v) -> Scalar:
 
 
 class Signature:
-    """A function {0,1}^n -> Q(zeta8) with a cyclic input order."""
+    """A function {0,1}^n -> Q(zeta8) with a cyclic input order.
 
-    __slots__ = ("_arity", "_values")
+    Signatures are immutable, so the hash over the 2^n values is computed
+    on first use and kept: a signature shared by many constraints, or
+    used as a cache key by every membership test, pays for it once.
+    """
+
+    __slots__ = ("_arity", "_values", "_hash")
 
     def __init__(self, values):
         values = tuple(_coerce_scalar(v) for v in values)
@@ -54,6 +59,7 @@ class Signature:
             raise ValueError(f"arity {arity} exceeds the cap of {ARITY_CAP}")
         self._arity = arity
         self._values = values
+        self._hash = None
 
     @classmethod
     def from_symmetric(cls, entries) -> Signature:
@@ -119,7 +125,10 @@ class Signature:
         return self._arity == other._arity and self._values == other._values
 
     def __hash__(self):
-        return hash((self._arity, self._values))
+        h = self._hash
+        if h is None:
+            self._hash = h = hash((self._arity, self._values))
+        return h
 
     def __mul__(self, c):
         c = _coerce_scalar(c)

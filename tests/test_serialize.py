@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from holant import serialize
+from holant.cli import main
 from holant.dichotomy import DichotomyVerdict, classify_pl_csp
 from holant.fkt import MatchgateFragment, PlanarGraph, count_pm_fkt, \
     fragment_signature
@@ -214,6 +216,100 @@ def test_csp_schema_errors():
     with pytest.raises(SchemaError) as e:
         parse_csp({"vars": True, "constraints": []})
     assert e.value.path == "csp.vars"
+
+
+def _count_parses(monkeypatch):
+    calls = []
+
+    def counting(obj, path="signature", registry=None):
+        calls.append(path)
+        return parse_signature(obj, path, registry)
+
+    monkeypatch.setattr(serialize, "parse_signature", counting)
+    return calls
+
+
+def test_csp_parses_each_distinct_sig_once(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    doc = {"vars": 51, "constraints": [
+        {"sig": {"symmetric": [1, 2, 3]}, "on": [v, v + 1]}
+        for v in range(50)]}
+    inst = parse_csp(doc)
+    assert calls == ["csp.constraints[0].sig"]
+    first = inst.constraints[0][0]
+    assert first == S([1, 2, 3])
+    assert all(sig is first for sig, _ in inst.constraints)
+    assert [on for _, on in inst.constraints] == [(v, v + 1)
+                                                 for v in range(50)]
+
+
+def test_grid_parses_each_distinct_sig_once(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    n = 20  # a cycle of binary equalities
+    doc = {"vertices": [{"sig": {"symmetric": [1, 0, 1]},
+                         "edges": [v, (v + 1) % n]} for v in range(n)]}
+    grid = parse_grid(doc)
+    assert calls == ["grid.vertices[0].sig"]
+    assert all(v.signature is grid.vertices[0].signature
+               for v in grid.vertices)
+    assert brute_force_holant(grid) == Scalar.from_int(2)
+
+
+def test_grid_shared_sig_keeps_later_error_paths():
+    doc = {"vertices": [
+        {"sig": {"symmetric": [1, 0, 1]}, "edges": [0, 1]},
+        {"sig": {"symmetric": [1, 0, True]}, "edges": [1, 0]}]}
+    with pytest.raises(SchemaError) as e:
+        parse_grid(doc)
+    assert (e.value.path, e.value.message) == (
+        "grid.vertices[1].sig.symmetric[2]", "booleans are not scalars")
+
+
+@pytest.mark.parametrize("doc, path, message", [
+    # a bad scope in a later constraint that shares its sig
+    ({"vars": 3, "constraints": [
+        {"sig": {"symmetric": [1, 0, 1]}, "on": [0, 1]},
+        {"sig": {"symmetric": [1, 0, 1]}, "on": [1, "2"]}]},
+     "csp.constraints[1].on[1]", "expected an integer, got '2'"),
+    # true == 1 and 1.0 == 1 in Python; neither may reuse the earlier parse
+    ({"vars": 3, "constraints": [
+        {"sig": {"symmetric": [1, 0, 1]}, "on": [0, 1]},
+        {"sig": {"symmetric": [1, 0, True]}, "on": [1, 2]}]},
+     "csp.constraints[1].sig.symmetric[2]", "booleans are not scalars"),
+    ({"vars": 3, "constraints": [
+        {"sig": [1, 0, 0, 1], "on": [0, 1]},
+        {"sig": [1.0, 0, 0, 1], "on": [1, 2]}]},
+     "csp.constraints[1].sig[0]", "not a scalar encoding: 1.0"),
+])
+def test_shared_sig_keeps_every_error_and_its_path(capsys, tmp_path, doc,
+                                                   path, message):
+    with pytest.raises(SchemaError) as e:
+        parse_csp(doc)
+    assert (e.value.path, e.value.message) == (path, message)
+    f = tmp_path / "csp.json"
+    f.write_text(json.dumps(doc))
+    assert main(["eval", str(f)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"kind": "parse", "path": path, "message": message}}
+
+
+def test_one_signature_spelled_four_ways(capsys, tmp_path):
+    eq2 = {"symmetric": [1, 0, 1]}
+    doc = {"vars": 5, "constraints": [
+        {"sig": eq2, "on": [0, 1]},
+        {"sig": {"values": [1, 0, 0, 1]}, "on": [1, 2]},
+        {"sig": [1, 0, 0, 1], "on": [2, 3]},
+        {"sig": ["1", "0", "0", "1"], "on": [3, 4]},
+        {"sig": eq2, "on": [4, 0]}]}
+    inst = parse_csp(doc)
+    assert all(sig == equality(2) for sig, _ in inst.constraints)
+    assert inst.constraints[0][0] is inst.constraints[4][0]
+    assert brute_force_csp(inst) == Scalar.from_int(2)
+    f = tmp_path / "csp.json"
+    f.write_text(json.dumps(doc))
+    assert main(["eval", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "input": "csp", "mode": "product", "value": "2"}
 
 
 # -- embedded graphs -----------------------------------------------------------------

@@ -72,6 +72,35 @@ def test_support():
     assert Signature([0, 0]).support() == frozenset()
 
 
+def test_equal_signatures_built_apart_hash_equal():
+    rng = random.Random(5)
+    values = [Scalar.of(*(rng.randint(-3, 3) for _ in range(4)))
+              for _ in range(16)]
+    f, g = Signature(values), Signature(list(values))
+    assert f is not g and f == g
+    assert hash(f) == hash(g) == hash(f)
+    table = {f: "first"}
+    table[g] = "second"  # an equal key replaces the value, not the key
+    assert len(table) == 1 and table[f] == "second"
+    assert table[Signature(values)] == "second"
+    assert exact_one(4) not in table
+
+
+def test_hash_is_computed_once(monkeypatch):
+    f = Signature([Scalar.from_int(k) for k in range(1 << 10)])
+    calls = []
+    scalar_hash = Scalar.__hash__
+
+    def counting(self):
+        calls.append(1)
+        return scalar_hash(self)
+
+    monkeypatch.setattr(Scalar, "__hash__", counting)
+    first = hash(f)
+    assert hash(f) == first
+    assert len(calls) <= 1 << 10
+
+
 def test_crossover_is_interleaved_equalities():
     x = crossover()
     assert x.support() == {0b0000, 0b0101, 0b1010, 0b1111}
