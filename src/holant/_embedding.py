@@ -6,10 +6,11 @@ Faces are orbits of the successor map d -> rotation-next of twin(d); the
 orbit count plugs into Euler's formula, which is the whole planarity
 certificate used here.  No geometry anywhere.  The package's one
 union-find lives here too: it splits a rotation system into the
-components the Euler check runs on, a #CSP into its constraint graph's
-components where the planner falls through to brute force, and the
-literal nodes of a product-family #CSP (two per variable, one per value)
-into the mirror classes its evaluator sums over.  FKT counting does not call it: the BFS forest of
+components the Euler check runs on, a #CSP outside the product and
+affine families into its constraint graph's components, which the
+planner plans one by one, and the literal nodes of a product-family
+#CSP (two per variable, one per value) into the mirror classes its
+evaluator sums over.  FKT counting does not call it: the BFS forest of
 its one orientation pass names the components.
 """
 

@@ -39,7 +39,7 @@ from .classes import (
     is_twisted_hadamard_matchgate,
 )
 from .fkt import builtin_fragment, evaluate_matchgate_grid
-from .grids import VAR_CAP, CspInstance, brute_force_csp, brute_force_holant, \
+from .grids import CspInstance, brute_force_csp, brute_force_holant, \
     csp_to_grid, eval_affine_csp, eval_product_csp
 from .scalar import ONE
 from .signatures import Signature
@@ -220,12 +220,16 @@ def _fkt_route(problem):
 def _csp_parts(instance):
     """The connected components of a csp's constraint graph, each on its
     own variables 0..c-1 (the zero-arity constraints make one part), and
-    the number of variables that no constraint reads."""
+    the number of variables that no constraint reads; None for a
+    connected csp that reads every variable, which needs no renumbered
+    copy."""
     root = component_roots(instance.num_vars, (
         (on[0], v) for _, on in instance.constraints for v in on[1:]))
     groups = {}  # component root, or None for the constants -> constraints
     for sig, on in instance.constraints:
         groups.setdefault(root[on[0]] if on else None, []).append((sig, on))
+    if len(groups) == 1 and groups.keys() >= set(root):
+        return None
     parts = []
     for cons in groups.values():
         ids = {}
@@ -242,22 +246,29 @@ def evaluate(problem, mode: str = "auto"):
     ``"brute"`` or ``"auto"``; the result is ``(strategy, value)``.  Auto
     mode on a csp classifies the set of distinct constraint signatures
     once and takes the product evaluator if that family holds, else the
-    affine one; otherwise it takes the FKT route when the instance grid is
-    planar and every transformed signature has a built-in realization,
-    and brute force last.  Brute force sums a connected csp whole; a csp
-    of several components is evaluated part by part in the same mode, up
-    to the first zero, and reports the costliest strategy used.  Forced
-    brute mode refuses beyond VAR_CAP variables on the whole instance.
-    Auto mode on a grid takes the FKT route when the grid is closed,
-    planar and fully realized, and brute force otherwise.  A forced mode
-    that does not apply raises ValueError.
+    affine one.  Otherwise, and always under brute mode, a csp is split
+    into the connected components of its constraint graph and every
+    component is planned before any runs: in auto mode the product or
+    affine evaluator when its own signatures allow, else the FKT route
+    when its grid is planar and every transformed signature has a
+    built-in realization, else brute force, which refuses a component of
+    more than grids.VAR_CAP variables.  The components run cheapest
+    strategy first and fewest variables first, up to the first zero; the
+    values multiply, times 2 per unread variable, and the strategy
+    reported is the costliest one planned.  Auto mode on a grid takes
+    the FKT route when the grid is closed, planar and fully realized,
+    and brute force otherwise.  Forced product, affine and fkt modes
+    take the whole instance, and one that does not apply raises
+    ValueError.
     """
-    return _evaluate(problem, mode, functools.cache(
+    strategy, run = _plan(problem, mode, functools.cache(
         lambda family, f: bool(_FAMILY_TESTS[family](f))))
+    return strategy, run()
 
 
-def _evaluate(problem, mode, member):
-    """evaluate, with member(family, signature) the membership test; the
+def _plan(problem, mode, member):
+    """The strategy evaluate reports for problem and a call that computes
+    the value.  member(family, signature) is the membership test; the
     parts of a csp share it, so each signature is tested once per family."""
     csp = isinstance(problem, CspInstance)
     if mode == "auto":
@@ -273,25 +284,25 @@ def _evaluate(problem, mode, member):
         if not csp:
             raise ValueError(f"mode {mode!r} applies to csp documents only")
         evaluator = eval_product_csp if mode == "product" else eval_affine_csp
-        return mode, evaluator(problem)
+        return mode, functools.partial(evaluator, problem)
+    if csp and mode in ("auto", "brute") and (split := _csp_parts(problem)):
+        parts, unread = split
+        plans = [_plan(part, mode, member)
+                 for part in sorted(parts, key=lambda p: p.num_vars)]
+        # a stable sort: cheapest strategy first, then fewest variables
+        plans.sort(key=lambda plan: _COST.index(plan[0]))
+
+        def run():
+            total = ONE * (1 << unread)
+            for _, part_run in plans:  # up to the first zero
+                total = total and total * part_run()
+            return total
+        return plans[-1][0] if plans else "brute", run  # the costliest
     if mode in ("auto", "fkt"):
         route, why = _fkt_route(problem)
         if route is not None:
-            return "fkt", evaluate_matchgate_grid(*route)
+            return "fkt", functools.partial(evaluate_matchgate_grid, *route)
         if mode == "fkt":
             raise ValueError(why)
-    if not csp:
-        return "brute", brute_force_holant(problem)
-    if mode == "brute" and problem.num_vars > VAR_CAP:
-        return "brute", brute_force_csp(problem)  # refuses before enumerating
-    parts, unread = _csp_parts(problem)
-    used, total = _COST[0], ONE * (1 << unread)
-    if len(parts) < 2:  # connected: summed whole, nothing to plan again
-        return "brute", brute_force_csp(parts[0]) * total if parts else total
-    for part in parts:
-        strategy, value = _evaluate(part, mode, member)
-        used = max(used, strategy, key=_COST.index)
-        if not value:
-            return used, value
-        total = total * value
-    return used, total
+    return "brute", functools.partial(
+        brute_force_csp if csp else brute_force_holant, problem)

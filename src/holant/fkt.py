@@ -40,10 +40,10 @@ from ._embedding import is_planar_embedding, trace_faces
 from .scalar import ONE, ZERO, Scalar
 from .signatures import Signature, _coerce_scalar
 
-#: enumerate_pm refuses beyond this many vertices.
+#: The matching enumeration refuses beyond this many vertices: the graph
+#: of enumerate_pm, the internal vertices of fragment_signature, and so
+#: the built-in fragments.
 ENUM_CAP = 20
-#: fragment_signature refuses beyond this many internal vertices.
-FRAGMENT_CAP = 20
 
 
 class PlanarGraph:
@@ -476,9 +476,9 @@ def fragment_signature(frag: MatchgateFragment) -> Signature:
     vertex twice contributes zero.
     """
     n = frag.num_vertices
-    if n > FRAGMENT_CAP:
+    if n > ENUM_CAP:
         raise ValueError(
-            f"{n} internal vertices exceeds the fragment cap of {FRAGMENT_CAP}")
+            f"{n} internal vertices exceeds the fragment cap of {ENUM_CAP}")
     k = frag.arity
     adj = _adjacency(n, frag.edges)
     memo = {}
@@ -643,7 +643,7 @@ def builtin_fragment(f: Signature):
     a unit-weight shape: weight one (1 vertex), {0...0} (a path, 2k),
     {1...1} (a hub, k + 2) or, from arity 3, even weight (a chain,
     4k - 8).  _scaled scales it by c.  None when that exceeds
-    FRAGMENT_CAP vertices, so evaluate_matchgate_grid can verify it.
+    ENUM_CAP vertices, so evaluate_matchgate_grid can verify it.
     """
     if f.is_zero:
         return None
@@ -669,6 +669,6 @@ def builtin_fragment(f: Signature):
             shape = _even_fragment(n)
         else:
             return None
-    if shape.num_vertices + 2 * (scale != ONE) > FRAGMENT_CAP:
+    if shape.num_vertices + 2 * (scale != ONE) > ENUM_CAP:
         return None
     return _scaled(shape, scale)

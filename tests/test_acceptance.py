@@ -312,8 +312,13 @@ def test_brute_force_pays_for_the_largest_component_only():
         for mode in ("auto", "brute"):
             assert evaluate(four_block_csp(), mode) == \
                 ("brute", Scalar.from_int(83521))
+        # the cap is per component: a 21st, unread variable doubles the value
+        assert evaluate(four_block_csp(21), "brute") == \
+            ("brute", Scalar.from_int(2 * 83521))
+    or3 = Signature.from_symmetric([0, 1, 1, 1])
+    chain = CspInstance(21, tuple((or3, (v, v + 1, v + 2)) for v in range(19)))
     with pytest.raises(ValueError) as refused:
-        evaluate(four_block_csp(21), "brute")
+        evaluate(chain, "brute")
     assert str(refused.value) == \
         "21 variables exceeds the brute-force cap of 20"
 

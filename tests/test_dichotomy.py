@@ -328,7 +328,7 @@ def _all_zero_pair(k):
 
 
 def test_auto_falls_back_when_a_builtin_fragment_exceeds_the_cap():
-    # the all-zero path of arity 11 has 22 vertices, over FRAGMENT_CAP
+    # the all-zero path of arity 11 has 22 vertices, over ENUM_CAP
     grid = _all_zero_pair(11)
     assert evaluate(grid, "auto") == ("brute", Scalar.from_int(1))
     with pytest.raises(ValueError, match="^vertex 0: no built-in realization$"):
@@ -416,19 +416,37 @@ def test_auto_plans_each_component_with_its_own_strategy():
         mode, value = evaluate(inst)
         assert value == expected, inst
         costliest = max(kinds, key=cost.index)
-        if value:
-            # every strategy below the costliest block's is skipped
-            assert mode == costliest, (mode, kinds)
-            drawn.add(f"{mode} as the costliest")
-        else:
-            # the first zero block ends the loop
-            assert cost.index(mode) <= cost.index(costliest), (mode, kinds)
-            drawn.add("a zero block")
+        # every block is planned before any runs, a zero one included
+        assert mode == costliest, (mode, kinds)
+        drawn.add(f"{mode} as the costliest" if value else "a zero block")
         if len(set(kinds)) == 4:
             drawn.add("all four strategies")
     assert drawn == {"product as the costliest", "affine as the costliest",
                      "fkt as the costliest", "brute as the costliest",
                      "a zero block", "all four strategies"}
+
+
+OR3 = S([0, 1, 1, 1])
+ZERO_UNARY = Signature([0, 0])
+
+
+def test_a_zero_part_reports_the_same_mode_in_either_order():
+    cons = ((OR3, (0, 1, 2)), (ZERO_UNARY, (3,)))
+    for order in (cons, cons[::-1]):
+        assert evaluate(CspInstance(4, order)) == ("brute", Scalar.from_int(0))
+
+
+def test_a_zero_part_answers_before_a_part_over_the_cap():
+    # the chain on variables 1..21 alone would exceed the cap of 20
+    chain = tuple((OR3, (v, v + 1, v + 2)) for v in range(1, 20))
+    cons = ((ZERO_UNARY, (0,)),) + chain
+    for mode in ("auto", "brute"):
+        for order in (cons, cons[::-1]):
+            assert evaluate(CspInstance(22, order), mode) == \
+                ("brute", Scalar.from_int(0))
+    with pytest.raises(ValueError,
+                       match="^21 variables exceeds the brute-force cap of 20$"):
+        evaluate(CspInstance(22, chain))
 
 
 def test_parts_reuse_the_membership_tests_of_the_whole(monkeypatch):
@@ -453,7 +471,7 @@ def test_parts_reuse_the_membership_tests_of_the_whole(monkeypatch):
         calls.clear()
         mode, value = evaluate(inst)
         assert value == expected
-        assert mode == "brute" or not value
+        assert mode == "brute"
         assert max(calls.values()) == 1, inst
 
 

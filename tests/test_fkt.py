@@ -753,7 +753,7 @@ def test_builtin_family_sweep_follows_the_size_rule(family):
                            for y in range(1 << k)])
             frag = builtin_fragment(f)
             size = unit_size(k) + (0 if w == ONE else 2)
-            if size > fkt.FRAGMENT_CAP:
+            if size > fkt.ENUM_CAP:
                 assert frag is None, (family, k, w)
                 continue
             assert frag.num_vertices == size, (family, k, w)

@@ -29,6 +29,7 @@ NONZERO = tuple(v for v in SMALL_POOL if v)
 #: change, without a built-in realization, so a part holding it is
 #: brute-forced in auto mode.
 OR3 = Signature.from_symmetric([0, 1, 1, 1])
+ZERO_UNARY = Signature([0, 0])
 
 
 def _spell(rng, f):
@@ -62,22 +63,21 @@ def _nonzero_product(rng, arity):
 
 def _document(rng, kind):
     """A csp document of one family, or of a product, an affine and an
-    OR part side by side, with one unread variable.  Drawn again until
-    its value is nonzero: see `_order_free` for why."""
-    while True:
-        if kind == "product":
-            cons = _block(rng, _nonzero_product, 0, 10, 10)
-        elif kind == "affine":
-            cons = _block(rng, rand_affine_signature, 0, 10, 10)
-        else:
-            cons = (_block(rng, _nonzero_product, 0, 4, 6)
-                    + _block(rng, rand_affine_signature, 4, 4, 6)
-                    + [(OR3, [8, 9, 10]), (OR3, [9, 10, 11])])
-        n = 1 + max(v for _, on in cons for v in on) + 1
-        doc = {"vars": n, "constraints": [{"sig": _spell(rng, f), "on": on}
-                                          for f, on in cons]}
-        if brute_force_csp(parse_csp(doc)):
-            return doc
+    OR part side by side.  One more variable is unread, or, in about
+    every other mixed document, read by the zero unary [0, 0]."""
+    if kind == "product":
+        cons = _block(rng, _nonzero_product, 0, 10, 10)
+    elif kind == "affine":
+        cons = _block(rng, rand_affine_signature, 0, 10, 10)
+    else:
+        cons = (_block(rng, _nonzero_product, 0, 4, 6)
+                + _block(rng, rand_affine_signature, 4, 4, 6)
+                + [(OR3, [8, 9, 10]), (OR3, [9, 10, 11])])
+    n = 1 + max(v for _, on in cons for v in on) + 1
+    if kind == "mixed" and rng.random() < 0.5:
+        cons.append((ZERO_UNARY, [n - 1]))
+    return {"vars": n, "constraints": [{"sig": _spell(rng, f), "on": on}
+                                       for f, on in cons]}
 
 
 def _rewrite(rng, doc):
@@ -106,10 +106,6 @@ def _order_free(mode, code, out):
       whether that rotation system is planar, and the first vertex
       without a realization, follow the order; only an answered value
       is pinned.
-    - A csp of several parts stops at its first zero part and reports
-      the costliest strategy among the parts it evaluated, which follows
-      the order of the parts; the documents are drawn with nonzero
-      values, so every part is evaluated.
     """
     if code != 0 and mode in ("product", "affine", "fkt"):
         return code, out["error"]["kind"]
@@ -125,8 +121,10 @@ def test_eval_ignores_constraint_order_and_variable_names(capsys, tmp_path,
                                                          kind):
     rng = random.Random(f"metamorphic:{kind}")
     answered = {mode: 0 for mode in MODES}
+    zero_valued = set()
     for _ in range(6):
         doc = _document(rng, kind)
+        zero_valued.add(not brute_force_csp(parse_csp(doc)))
         for _ in range(2):
             other = _rewrite(rng, doc)
             for mode in MODES:
@@ -139,3 +137,6 @@ def test_eval_ignores_constraint_order_and_variable_names(capsys, tmp_path,
     assert answered["brute"] == 12
     if kind != "mixed":
         assert answered[kind] == answered["auto"] == 12
+    else:
+        # the mixed draws hold zero-valued documents and nonzero ones
+        assert zero_valued == {True, False}
