@@ -27,7 +27,7 @@ import random
 import sys
 
 from .classes import class_report
-from .dichotomy import classify_csp, classify_pl_csp, \
+from .dichotomy import MODES, classify_csp, classify_pl_csp, \
     classify_pl_csp2_symmetric, evaluate
 from .fkt import _count_and_orientation
 from .grids import SignatureGrid, gate_signature
@@ -269,8 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("eval", help="value of a csp or grid document")
     sub.add_argument("input", help="JSON csp or grid file")
-    sub.add_argument("--mode", default="auto",
-                     choices=("auto", "brute", "product", "affine", "fkt"))
+    sub.add_argument("--mode", default="auto", choices=MODES)
     _add_registry(sub)
     _add_output(sub)
     sub.set_defaults(handler=cmd_eval)

@@ -49,6 +49,7 @@ PTIME = "PTime"
 PLANAR_PTIME_ONLY = "PlanarPTimeOnly"
 SHARP_P_HARD = "SharpPHard"
 _COST = ("product", "affine", "fkt", "brute")  # evaluators, cheapest first
+MODES = ("auto", "brute", "product", "affine", "fkt")  # evaluate's modes
 
 _FAMILY_TESTS = {
     "affine": is_affine,
@@ -242,25 +243,28 @@ def _csp_parts(instance):
 def evaluate(problem, mode: str = "auto"):
     """Value of a CspInstance or a SignatureGrid, and the strategy used.
 
-    ``mode`` is ``"product"``, ``"affine"`` (csp only), ``"fkt"``,
-    ``"brute"`` or ``"auto"``; the result is ``(strategy, value)``.  Auto
-    mode on a csp classifies the set of distinct constraint signatures
-    once and takes the product evaluator if that family holds, else the
-    affine one.  Otherwise, and always under brute mode, a csp is split
-    into the connected components of its constraint graph and every
-    component is planned before any runs: in auto mode the product or
-    affine evaluator when its own signatures allow, else the FKT route
-    when its grid is planar and every transformed signature has a
-    built-in realization, else brute force, which refuses a component of
-    more than grids.VAR_CAP variables.  The components run cheapest
-    strategy first and fewest variables first, up to the first zero; the
-    values multiply, times 2 per unread variable, and the strategy
-    reported is the costliest one planned.  Auto mode on a grid takes
-    the FKT route when the grid is closed, planar and fully realized,
-    and brute force otherwise.  Forced product, affine and fkt modes
-    take the whole instance, and one that does not apply raises
-    ValueError.
+    ``mode`` is one of ``MODES``: ``"product"``, ``"affine"`` (csp only),
+    ``"fkt"``, ``"brute"`` or ``"auto"``; any other raises ValueError.
+    The result is ``(strategy, value)``.  Auto mode on a csp classifies
+    the set of distinct constraint signatures once and takes the product
+    evaluator if that family holds, else the affine one.  Otherwise, and
+    always under brute mode, a csp is split into the connected components
+    of its constraint graph and every component is planned before any
+    runs: in auto mode the product or affine evaluator when its own
+    signatures allow, else the FKT route when its grid is planar and
+    every transformed signature has a built-in realization, else brute
+    force, which refuses a component of more than grids.VAR_CAP
+    variables.  The components run cheapest strategy first and fewest
+    variables first, up to the first zero; the values multiply, times 2
+    per unread variable, and the strategy reported is the costliest one
+    planned.  Auto mode on a grid takes the FKT route when the grid is
+    closed, planar and fully realized, and brute force otherwise.  Forced
+    product, affine and fkt modes take the whole instance, and one that
+    does not apply raises ValueError.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of "
+                         + ", ".join(MODES))
     strategy, run = _plan(problem, mode, functools.cache(
         lambda family, f: bool(_FAMILY_TESTS[family](f))))
     return strategy, run()
@@ -270,34 +274,45 @@ def _plan(problem, mode, member):
     """The strategy evaluate reports for problem and a call that computes
     the value.  member(family, signature) is the membership test; the
     parts of a csp share it, so each signature is tested once per family."""
-    csp = isinstance(problem, CspInstance)
+    def family(instance):  # the family of every constraint, or mode
+        sigs = dict.fromkeys(sig for sig, _ in instance.constraints)
+        return next((name for name in ("product", "affine")
+                     if all(member(name, f) for f in sigs)), mode)
+
+    if not isinstance(problem, CspInstance):
+        return _route(problem, mode)
     if mode == "auto":
-        if csp:
-            sigs = dict.fromkeys(sig for sig, _ in problem.constraints)
-            if all(member("product", f) for f in sigs):
-                mode = "product"
-            elif all(member("affine", f) for f in sigs):
-                mode = "affine"
-        elif problem.dangling or not problem.is_planar():
-            mode = "brute"
+        mode = family(problem)
+    split = mode in ("auto", "brute") and _csp_parts(problem)
+    if not split:
+        return _route(problem, mode)
+    parts, unread = split
+    plans = [_route(part, family(part) if mode == "auto" else mode)
+             for part in sorted(parts, key=lambda p: p.num_vars)]
+    # a stable sort: cheapest strategy first, then fewest variables
+    plans.sort(key=lambda plan: _COST.index(plan[0]))
+
+    def run():
+        total = ONE * (1 << unread)
+        for _, part_run in plans:  # up to the first zero
+            total = total and total * part_run()
+        return total
+    return plans[-1][0] if plans else "brute", run  # the costliest
+
+
+def _route(problem, mode):
+    """The plan of a grid, or of a csp taken whole: product or affine
+    when the mode says so, else the FKT route when auto or fkt mode finds
+    one, else brute force."""
+    csp = isinstance(problem, CspInstance)
+    if mode == "auto" and not csp and (
+            problem.dangling or not problem.is_planar()):
+        mode = "brute"
     if mode in ("product", "affine"):
         if not csp:
             raise ValueError(f"mode {mode!r} applies to csp documents only")
         evaluator = eval_product_csp if mode == "product" else eval_affine_csp
         return mode, functools.partial(evaluator, problem)
-    if csp and mode in ("auto", "brute") and (split := _csp_parts(problem)):
-        parts, unread = split
-        plans = [_plan(part, mode, member)
-                 for part in sorted(parts, key=lambda p: p.num_vars)]
-        # a stable sort: cheapest strategy first, then fewest variables
-        plans.sort(key=lambda plan: _COST.index(plan[0]))
-
-        def run():
-            total = ONE * (1 << unread)
-            for _, part_run in plans:  # up to the first zero
-                total = total and total * part_run()
-            return total
-        return plans[-1][0] if plans else "brute", run  # the costliest
     if mode in ("auto", "fkt"):
         route, why = _fkt_route(problem)
         if route is not None:

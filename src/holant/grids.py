@@ -10,20 +10,21 @@ The brute-force oracles are wirings of the enumeration kernel in
 `signatures`: a grid contracts its vertices over the edges, keeping the
 dangling ones, and a #CSP sums its constraints over all its variable
 bits; `dichotomy.evaluate` splits a #CSP by component before that.
-This module also houses the two polynomial-time #CSP evaluators for the
-product and affine families, and the exact Vandermonde solver used by the
-interpolation harness.
+This module also houses the two polynomial-time #CSP evaluators: the
+product family on the package's one union-find, and the affine family as
+one exponential sum of i^Q removed by one sparse elimination.  Last comes
+the exact Vandermonde solver used by the interpolation harness.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from ._embedding import component_roots, is_planar_embedding
-from ._gf2 import rref
 from ._record import Record
 from .classes import is_affine, is_product
-from .scalar import ONE, SQRT2, ZERO, ZETA8, Scalar, i_power
+from .scalar import ONE, SQRT2, ZERO, Scalar, i_power, zeta_power
 from .signatures import ARITY_CAP, Signature, _contract, _sum_products, \
     equality
 
@@ -386,121 +387,105 @@ def eval_product_csp(instance: CspInstance) -> Scalar:
 # -- affine-family evaluator ----------------------------------------------------
 
 
-def _quad_add(quad, mask, c):
-    c %= 4
-    if not c:
-        return
-    cur = (quad.get(mask, 0) + c) % 4
-    if cur:
-        quad[mask] = cur
-    else:
-        quad.pop(mask, None)
+def _gauss_sum(linear, adj) -> Scalar:
+    """The sum of i^Q over every {0,1} assignment of the variables, where
+    Q = sum_v linear[v] x_v + 2 sum_{u < v, u in adj[v]} x_u x_v mod 4.
+    Both lists are consumed.
 
-
-def _quad_substitute(quad, p, mask, const):
-    """Replace variable p by (XOR of `mask` variables) xor const in a
-    multilinear Z4 quadratic with even cross terms.
-
-    Uses the mod-4 lift (L + const)^2 of a mod-2 sum L, which keeps cross
-    terms even: odd coefficients only ever multiply the linear part.
+    Each step removes a live variable t of least degree, kept in a lazy
+    heap as in fkt._pfaffian_rows.  With a = linear[t] and L the sum of
+    t's neighbours, the sum over x_t is 1 + i^a (-1)^L.  An odd a gives
+    sqrt(2) zeta8^(+-1) i^(-aL), and since L mod 2 = L^2 mod 4, each
+    neighbour gains -a and every pair of them toggles its cross term.
+    An even a gives 2 [L = a/2]: the neighbour p of least degree is
+    pinned to the XOR of t's other neighbours and a/2, and leaves with t.
+    Its linear term lifts the same way, and each cross term 2 x_q x_p
+    toggles q's cross term with every other neighbour of t; a pair
+    toggled twice cancels, and q paired with itself gains 2.
     """
-    pbit = 1 << p
-    moved = [(m, c) for m, c in quad.items() if m & pbit]
-    for m, _ in moved:
-        del quad[m]
-    js = [j for j in range(mask.bit_length()) if (mask >> j) & 1]
-    for m, c in moved:
-        rest = m & ~pbit
-        if rest == 0:
-            # c * x_p -> c * (sum + const)^2 expanded multilinearly
-            for a in range(len(js)):
-                _quad_add(quad, 1 << js[a], c * (1 + 2 * const))
-                for b in range(a + 1, len(js)):
-                    _quad_add(quad, (1 << js[a]) | (1 << js[b]), 2 * c)
-            _quad_add(quad, 0, c * const)
-        else:
-            # c * x_p * x_q with c even: distribute over the sum
-            assert c % 2 == 0, "odd cross term"
-            for j in js:
-                _quad_add(quad, (1 << j) | rest, c)
-            if const:
-                _quad_add(quad, rest, c)
-
-
-def _gauss_sum(variables, quad) -> Scalar:
-    """Exact sum of i^Q over all {0,1} assignments of `variables`.
-
-    Eliminates the lowest-index variable first.  Writing Q = a*x + 2xL + R,
-    the inner sum 1 + i^a(-1)^L either doubles and pins the parity of L
-    (a even) or contributes sqrt(2)*zeta8^{+-1} and folds i^{+-L} back
-    into R (a odd).
-    """
-    active = sorted(variables)
-    factor = ONE
-    while active:
-        t = active.pop(0)
-        tbit = 1 << t
-        a = quad.pop(tbit, 0)
-        lvars = []
-        for m in [m for m in quad if m & tbit]:
-            c = quad.pop(m)
-            assert c == 2, "odd cross term"
-            lvars.append(m & ~tbit)
+    heap = [(len(nb), v) for v, nb in enumerate(adj)]
+    heapq.heapify(heap)
+    live = [True] * len(adj)
+    r = k = 0
+    while heap:
+        degree, t = heapq.heappop(heap)
+        if not live[t] or degree != len(adj[t]):
+            continue
+        live[t] = False
+        near = adj[t]
+        for q in near:
+            adj[q].discard(t)
+        a = linear[t] % 4
         if a % 2:
-            factor = factor * SQRT2 * (ZETA8 if a == 1 else ZETA8.inverse())
-            lift = 3 if a == 1 else 1
-            for x in range(len(lvars)):
-                _quad_add(quad, lvars[x], lift)
-                for y in range(x + 1, len(lvars)):
-                    _quad_add(quad, lvars[x] | lvars[y], 2 * lift)
+            r += 1
+            k += 2 - a  # zeta8 for a = 1, zeta8^-1 for a = 3
+            for q in near:
+                linear[q] -= a
+                adj[q] ^= near
+                adj[q].discard(q)
         else:
-            target = 0 if a == 0 else 1
-            if not lvars:
-                if target == 1:
+            r += 2
+            if not near:
+                if a:
                     return ZERO
-                factor = factor * 2
-            else:
-                factor = factor * 2
-                pivot = min(m.bit_length() - 1 for m in lvars)
-                rest = 0
-                for m in lvars:
-                    rest ^= m
-                rest &= ~(1 << pivot)
-                _quad_substitute(quad, pivot, rest, target)
-                active.remove(pivot)
-    return factor * i_power(quad.get(0, 0))
+                continue
+            p = min(near, key=lambda v: (len(adj[v]), v))
+            live[p] = False
+            rest = near - {p}
+            partners = adj[p]
+            for q in partners:
+                adj[q].discard(p)
+            c, ap = a // 2, linear[p] % 4
+            k += 2 * ap * c
+            for j in rest:
+                linear[j] += ap * (1 + 2 * c)
+                if ap % 2:
+                    adj[j] ^= rest
+                    adj[j].discard(j)
+                adj[j] ^= partners
+            for q in partners:
+                linear[q] += 2 * c + 2 * (q in rest)
+                adj[q] ^= rest
+            near = rest | partners  # every variable whose degree changed
+        for q in near:
+            heapq.heappush(heap, (len(adj[q]), q))
+    return SQRT2 ** r * zeta_power(k)
 
 
 def _affine_plan(analysis):
-    """An affine member's scale, support rows and Z4 monomials in 0-based
-    local positions: one (positions, rhs) per support constraint and one
+    """An affine member's scale times i^c for its constant monomial c,
+    its support rows and its other Z4 monomials, in 0-based local
+    positions: one (positions, rhs) per support constraint and one
     (positions, coefficient) per monomial on the free variables."""
     sup = analysis.support
     k, free = sup.arity, sup.free
     kf = len(free)
-    return (analysis.scale,
+    terms = dict(analysis.polynomial.coefficients)
+    return (analysis.scale * i_power(terms.pop(0, 0)),
             [(tuple(p for p in range(k) if (cmask >> (k - 1 - p)) & 1), rhs)
              for cmask, rhs in sup.constraints],
             [(tuple(p - 1 for j, p in enumerate(free)
                     if (mono >> (kf - 1 - j)) & 1), c)
-             for mono, c in analysis.polynomial.coefficients])
+             for mono, c in terms.items()])
 
 
 def eval_affine_csp(instance: CspInstance) -> Scalar:
     """Polynomial-time value of an instance whose constraints are all
     affine.
 
-    Supports become one global Z2 linear system, reduced by `rref` with
-    pivots on the highest variable indices; phases become one global
-    Z4 quadratic on the constraints' free variables.  After eliminating
-    the pivots, the remaining sum of i^Q is evaluated by quadratic Gauss
-    sums, variable by variable.
+    The whole instance becomes one sum of i^Q for a Z4 quadratic Q with
+    even cross terms (Cai, Chen, Lipton and Lu, "On tractable exponential
+    sums", 2010).  Phases add their monomials to Q.  Each support row
+    [L = rhs] becomes an auxiliary variable y, by
+    [L = rhs] = 1/2 sum_y i^(2y(L + rhs)): y shares a cross term with
+    every bit of L, takes 2 rhs on its linear term and brings a factor
+    1/2.  `_gauss_sum` then removes every variable by one elimination.
     """
     n = instance.num_vars
+    linear = [0] * n
+    adj = [set() for _ in linear]
     scale = ONE
-    rows = []  # (mask << 1) | rhs: the right-hand side is bit 0
     zero_instance = False
-    quad = {}
     plans = {}  # one membership test and one plan per distinct signature
     for sig, on in instance.constraints:
         if sig not in plans:
@@ -517,28 +502,26 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
         lam, sup_rows, monomials = plan
         scale = scale * lam
         for positions, rhs in sup_rows:
-            gmask = rhs
+            y, row = len(linear), set()
             for p in positions:
-                gmask ^= 2 << on[p]
-            rows.append(gmask)
+                row ^= {on[p]}
+            for v in row:
+                adj[v].add(y)
+            linear.append(2 * rhs)
+            adj.append(row)
         for positions, c in monomials:
-            gmask = 0
-            for p in positions:
-                gmask |= 1 << on[p]
-            _quad_add(quad, gmask, c)
+            vs = {on[p] for p in positions}
+            if len(vs) == 2:  # a cross term, c = 2
+                u, v = vs
+                adj[u] ^= {v}
+                adj[v] ^= {u}
+            else:
+                linear[vs.pop()] += c
     if zero_instance:
         return ZERO
-    reduced = rref(sorted(rows))  # rising pivots: short back-substitution
-    if 0 in reduced:  # the row 0 = 1
-        return ZERO
-    pivots = {b - 1: (row >> 1, row & 1) for b, row in reduced.items()}
-    free_vars = [v for v in range(n) if v not in pivots]
-    for p, (pmask, prhs) in pivots.items():
-        _quad_substitute(quad, p, pmask & ~(1 << p), prhs)
-    pivot_mask = sum(1 << p for p in pivots)
-    assert not any(m & pivot_mask for m in quad), \
-        "pivot variable survived substitution"
-    return scale * _gauss_sum(free_vars, quad)
+    # each support row brought a factor 1/2
+    half = Scalar((1, 0, 0, 0), 1 << (len(linear) - n))
+    return scale * half * _gauss_sum(linear, adj)
 
 
 # -- interpolation harness ------------------------------------------------------

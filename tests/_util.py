@@ -208,6 +208,50 @@ def rref_by_scan(vectors) -> dict:
     return rows
 
 
+# -- independent oracle for [1,1,1,-1] strips ----------------------------------
+#
+# A width x length strip of (-1)^(x y) on every lattice edge, summed
+# column by column.  The state is one column's bits; the vertical edges
+# weigh a column s by (-1)^(number of adjacent set bits), and the
+# horizontal edges between two columns form the Walsh-Hadamard matrix
+# (-1)^(s . s').  2^width states, and a butterfly of width * 2^width
+# operations per column.
+
+
+def lattice_csp(rows, cols, rng=None):
+    """[1,1,1,-1] on every edge of the rows x cols lattice, with the
+    variable r * cols + c at row r and column c.  The constraints are in
+    row-major order, or shuffled by rng when one is given."""
+    from holant.grids import CspInstance
+
+    pm = Signature.from_symmetric([1, 1, -1])
+    cons = []
+    for v in range(rows * cols):
+        if (v + 1) % cols:
+            cons.append((pm, (v, v + 1)))
+        if v + cols < rows * cols:
+            cons.append((pm, (v, v + cols)))
+    if rng is not None:
+        rng.shuffle(cons)
+    return CspInstance(rows * cols, tuple(cons))
+
+
+def strip_by_transfer_matrix(width, length):
+    """The value of lattice_csp(width, length), as an int."""
+    sign = [-1 if (s & (s >> 1)).bit_count() % 2 else 1
+            for s in range(1 << width)]
+    v = list(sign)
+    for _ in range(length - 1):
+        h = 1
+        while h < len(v):
+            for i in range(0, len(v), 2 * h):
+                for j in range(i, i + h):
+                    v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
+            h *= 2
+        v = [x * s for x, s in zip(v, sign)]
+    return sum(v)
+
+
 # -- random structured inputs --------------------------------------------------
 
 

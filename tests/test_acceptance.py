@@ -17,6 +17,7 @@ from _util import (
     four_block_csp,
     grid_graph,
     identity_value,
+    lattice_csp,
     rand_affine_signature,
     rand_csp,
     rand_product_signature,
@@ -24,6 +25,7 @@ from _util import (
     random_closed_grid,
     random_planar_graph,
     realizable_signature,
+    strip_by_transfer_matrix,
 )
 from holant.classes import is_affine, is_hadamard_matchgate, is_matchgate, \
     is_product, parity_of
@@ -294,6 +296,34 @@ def test_affine_evaluator_takes_a_shuffled_disequality_cycle_quickly():
     cycle = CspInstance(n, tuple(cons))
     with criterion("affine evaluator, shuffled 4,000-variable cycle", 0.5):
         assert eval_affine_csp(cycle) == Scalar.from_int(2)
+
+
+def test_affine_evaluator_takes_a_long_phase_cycle_quickly():
+    n = 8000
+    cons = [(S([1, 1, -1]), (v, (v + 1) % n)) for v in range(n)]
+    in_order = CspInstance(n, tuple(cons))
+    random.Random(4).shuffle(cons)
+    shuffled = CspInstance(n, tuple(cons))
+    for name, cycle in (("in order", in_order), ("shuffled", shuffled)):
+        with criterion(f"affine evaluator, 8,000-variable [1,1,1,-1] cycle "
+                       f"{name}", 0.5):
+            assert eval_affine_csp(cycle) == Scalar.from_int(2 ** 4001)
+
+
+def test_affine_evaluator_matches_the_transfer_matrix_on_a_long_strip():
+    expected = strip_by_transfer_matrix(8, 500)
+    strip = lattice_csp(8, 500)
+    with criterion("affine evaluator, 8x500 strip of [1,1,1,-1]", 1.0):
+        assert eval_affine_csp(strip) == expected
+
+
+def test_affine_evaluator_takes_a_square_lattice_in_any_order():
+    # no oracle reaches width 60: the value must not depend on the order
+    lattice = lattice_csp(60, 60)
+    shuffled = lattice_csp(60, 60, random.Random(5))
+    with criterion("affine evaluator, 60x60 lattice of [1,1,1,-1], "
+                   "in order and shuffled", 2.0):
+        assert eval_affine_csp(lattice) == eval_affine_csp(shuffled)
 
 
 def test_auto_plans_a_product_path_beside_an_affine_path():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from _util import (
+    four_block_csp,
     rand_affine_signature,
     rand_csp,
     rand_product_signature,
@@ -11,6 +12,7 @@ from _util import (
 )
 from holant.classes import is_affine, parity_of
 from holant import dichotomy, fkt, grids
+from holant._embedding import component_roots
 from holant.dichotomy import (
     DichotomyVerdict,
     classify_csp,
@@ -503,3 +505,30 @@ def test_every_mode_refuses_a_star_of_64_leaves():
             evaluate(star, mode)
     with pytest.raises(ValueError, match="^arity 64 exceeds the cap of 16$"):
         equality(64)
+
+
+def test_an_unknown_mode_is_refused_before_any_planning(monkeypatch):
+    def plan(*args):
+        raise AssertionError("planned")
+
+    monkeypatch.setattr(dichotomy, "_plan", plan)
+    for problem in (four_block_csp(21), SignatureGrid([])):
+        with pytest.raises(ValueError, match="^unknown mode 'Auto'; "
+                           "expected one of auto, brute, product, affine, "
+                           "fkt$"):
+            evaluate(problem, "Auto")
+
+
+def test_the_parts_of_a_split_csp_are_not_split_again(monkeypatch):
+    sizes = []
+
+    def counted(n, pairs):
+        sizes.append(n)
+        return component_roots(n, pairs)
+
+    monkeypatch.setattr(dichotomy, "component_roots", counted)
+    for mode in ("auto", "brute"):
+        sizes.clear()
+        assert evaluate(four_block_csp(), mode) == \
+            ("brute", Scalar.from_int(83521))
+        assert sizes == [20]

@@ -5,6 +5,7 @@ import pytest
 from _util import (
     SMALL_POOL,
     four_block_csp,
+    lattice_csp,
     rand_affine_signature,
     rand_csp,
     rand_nonzero_signature,
@@ -13,6 +14,7 @@ from _util import (
     random_bipartite_grid,
     random_closed_grid,
     rref_by_scan,
+    strip_by_transfer_matrix,
 )
 from holant.grids import (
     CspInstance,
@@ -550,6 +552,21 @@ def test_evaluators_match_block_values_beyond_the_cap(evaluate, sig_fn, seed):
 def test_long_disequality_cycles(evaluate):
     assert evaluate(cycle_csp(disequality(), 2000)) == Scalar.from_int(2)
     assert evaluate(cycle_csp(disequality(), 2001)) == ZERO
+
+
+def test_strip_oracle_matches_brute_force():
+    for width in range(1, 5):
+        for length in range(1, 5):
+            assert strip_by_transfer_matrix(width, length) == \
+                brute_force_csp(lattice_csp(width, length))
+
+
+def test_affine_evaluator_matches_the_strip_oracle():
+    rng = random.Random(48)
+    for width, length in ((1, 9), (3, 7), (5, 30), (6, 40)):
+        expected = strip_by_transfer_matrix(width, length)
+        assert eval_affine_csp(lattice_csp(width, length)) == expected
+        assert eval_affine_csp(lattice_csp(width, length, rng)) == expected
 
 
 def test_rref_matches_the_pivot_scan():
