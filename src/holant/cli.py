@@ -41,7 +41,8 @@ from .transforms import apply_matrix, check_holant_invariance, transform
 
 
 class _FileError(Exception):
-    """An input file that is missing, unreadable or not UTF-8 text."""
+    """An input file that is missing, unreadable, not UTF-8 text, or
+    holds an integer literal longer than int() accepts."""
 
 
 def _load_document(path):
@@ -54,6 +55,10 @@ def _load_document(path):
         raise _FileError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise _FileError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as e:  # an integer literal past int's digit limit
+        raise _FileError(f"cannot read {path}: {e}") from None
 
 
 def _load_input(args):
@@ -229,7 +234,7 @@ def _matrix_argument(text: str):
         return parse_transform(text)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # a syntax error, or an integer past the digit limit
         raise SchemaError(
             "matrix", f"{text!r} is neither a known transform name "
             "nor a JSON matrix") from None

@@ -104,7 +104,7 @@ def _failure_detail(analysis) -> dict:
 
 
 def _joint_containments(sigs, families):
-    """Test each family against every signature.
+    """Test each family against every distinct signature, once each.
 
     Returns the holding family names (in the order given) and a witness map
     for the rest.  An empty input set is contained in everything.
@@ -114,10 +114,10 @@ def _joint_containments(sigs, families):
     for name in families:
         test = _FAMILY_TESTS[name]
         culprit = None
-        for i, f in enumerate(sigs):
+        for f in dict.fromkeys(sigs):
             analysis = test(f)
             if not analysis:
-                culprit = (i, f, analysis)
+                culprit = (sigs.index(f), f, analysis)
                 break
         if culprit is None:
             holding.append(name)
@@ -186,15 +186,19 @@ def classify_pl_csp2_symmetric(signatures) -> DichotomyVerdict:
 # -- evaluation planning ----------------------------------------------------------
 
 
-def _fkt_route(problem):
+def _h2(f, side):  # one key for once, without hashing H2
+    return transform(f, H2, side)
+
+
+def _fkt_route(problem, once):
     """The grid the FKT route evaluates, with one built-in fragment per vertex.
 
     A csp goes through its bipartite grid form, rewritten by H2 on the
     equality side and by its inverse on the constraint side; that keeps
     the value, turns each =_k into H2·=_k = 2·[y even] and takes each
-    constraint H2·g back to g.  A grid is taken as it is.  Each distinct
-    signature is rewritten once and looked up once, in grid order up to
-    the first vertex without a realization.
+    constraint H2·g back to g.  A grid is taken as it is.  Through once,
+    each distinct signature is rewritten and looked up once per evaluate
+    call, in grid order up to the first vertex without a realization.
     Returns ((grid, fragments), None), or (None, why the route does not
     apply).
     """
@@ -206,13 +210,12 @@ def _fkt_route(problem):
             return None, str(e)
         if not grid.is_planar():
             return None, "instance grid is not planar as constructed"
-        rewrite = (functools.cache(lambda f: transform(f, H2, "row")),
-                   functools.cache(lambda f: transform(f, H2, "column")))
-    realize = functools.cache(builtin_fragment)
+        rewrite = (lambda f: once(_h2, f, "row"),
+                   lambda f: once(_h2, f, "column"))
     frags = []
     for k, v in enumerate(grid.vertices):
-        frags.append(realize(v.signature if rewrite is None else
-                             rewrite[grid.sides[k] == "right"](v.signature)))
+        frags.append(once(builtin_fragment, v.signature if rewrite is None
+                          else rewrite[grid.sides[k] == "right"](v.signature)))
         if frags[-1] is None:
             return None, f"vertex {k}: no built-in realization{where}"
     return (grid.map_sides(*rewrite) if rewrite else grid, frags), None
@@ -265,29 +268,30 @@ def evaluate(problem, mode: str = "auto"):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of "
                          + ", ".join(MODES))
-    strategy, run = _plan(problem, mode, functools.cache(
-        lambda family, f: bool(_FAMILY_TESTS[family](f))))
+    once = functools.cache(lambda step, *args: step(*args))  # one memo
+    strategy, run = _plan(problem, mode, once)
     return strategy, run()
 
 
-def _plan(problem, mode, member):
+def _plan(problem, mode, once):
     """The strategy evaluate reports for problem and a call that computes
-    the value.  member(family, signature) is the membership test; the
-    parts of a csp share it, so each signature is tested once per family."""
+    the value.  once(step, *args) is evaluate's memo of step(*args): the
+    parts of a csp share every family test, rewrite and realization, and
+    the product and affine evaluators take their analyses from it."""
     def family(instance):  # the family of every constraint, or mode
         sigs = dict.fromkeys(sig for sig, _ in instance.constraints)
-        return next((name for name in ("product", "affine")
-                     if all(member(name, f) for f in sigs)), mode)
+        return next((name for name in ("product", "affine") if all(
+            once(_FAMILY_TESTS[name], f) for f in sigs)), mode)
 
     if not isinstance(problem, CspInstance):
-        return _route(problem, mode)
+        return _route(problem, mode, once)
     if mode == "auto":
         mode = family(problem)
     split = mode in ("auto", "brute") and _csp_parts(problem)
     if not split:
-        return _route(problem, mode)
+        return _route(problem, mode, once)
     parts, unread = split
-    plans = [_route(part, family(part) if mode == "auto" else mode)
+    plans = [_route(part, family(part) if mode == "auto" else mode, once)
              for part in sorted(parts, key=lambda p: p.num_vars)]
     # a stable sort: cheapest strategy first, then fewest variables
     plans.sort(key=lambda plan: _COST.index(plan[0]))
@@ -300,7 +304,7 @@ def _plan(problem, mode, member):
     return plans[-1][0] if plans else "brute", run  # the costliest
 
 
-def _route(problem, mode):
+def _route(problem, mode, once):
     """The plan of a grid, or of a csp taken whole: product or affine
     when the mode says so, else the FKT route when auto or fkt mode finds
     one, else brute force."""
@@ -312,9 +316,10 @@ def _route(problem, mode):
         if not csp:
             raise ValueError(f"mode {mode!r} applies to csp documents only")
         evaluator = eval_product_csp if mode == "product" else eval_affine_csp
-        return mode, functools.partial(evaluator, problem)
+        return mode, functools.partial(evaluator, problem, analyze=(
+            functools.partial(once, _FAMILY_TESTS[mode])))
     if mode in ("auto", "fkt"):
-        route, why = _fkt_route(problem)
+        route, why = _fkt_route(problem, once)
         if route is not None:
             return "fkt", functools.partial(evaluate_matchgate_grid, *route)
         if mode == "fkt":

@@ -25,8 +25,8 @@ from ._embedding import component_roots, is_planar_embedding
 from ._record import Record
 from .classes import is_affine, is_product
 from .scalar import ONE, SQRT2, ZERO, Scalar, i_power, zeta_power
-from .signatures import ARITY_CAP, Signature, _contract, _sum_products, \
-    equality
+from .signatures import ARITY_CAP, Signature, _coerce_scalar, _contract, \
+    _sum_products, equality
 
 #: Brute force refuses beyond these sizes instead of degrading.
 EDGE_CAP = 24
@@ -76,6 +76,7 @@ class SignatureGrid:
         self.sides = sides
 
         occ = {}
+        dangling = set(self.dangling)
         for vi, v in enumerate(self.vertices):
             if v.signature.arity != v.degree:
                 raise ValueError(
@@ -83,13 +84,13 @@ class SignatureGrid:
                     f"but {v.degree} incident edges")
             for slot, e in enumerate(v.edges):
                 occ.setdefault(e, []).append((vi, slot))
-        if len(set(self.dangling)) != len(self.dangling):
+        if len(dangling) != len(self.dangling):
             raise ValueError("dangling edge ids must be distinct")
         for e in self.dangling:
             if len(occ.get(e, ())) != 1:
                 raise ValueError(f"dangling edge {e!r} must touch exactly one vertex slot")
         for e, places in occ.items():
-            want = 1 if e in set(self.dangling) else 2
+            want = 1 if e in dangling else 2
             if len(places) != want:
                 raise ValueError(
                     f"edge {e!r} appears {len(places)} times; "
@@ -304,6 +305,24 @@ def csp_to_grid(instance: CspInstance) -> SignatureGrid:
 # -- product-family evaluator ---------------------------------------------------
 
 
+def _member_plans(instance, family, analyze, detail, plan):
+    """(plan, scope) per constraint, or None if one is zero.  analyze and
+    plan run once per distinct signature; a non-member raises ValueError
+    with its analysis's detail attribute, also after a zero constraint."""
+    plans = {}
+    for sig, on in instance.constraints:
+        if sig not in plans:
+            analysis = analyze(sig)
+            if not analysis:
+                raise ValueError(
+                    f"constraint on {on} is outside the {family} family: "
+                    f"{getattr(analysis, detail)}")
+            plans[sig] = None if sig.is_zero else plan(analysis)
+    if None in plans.values():
+        return None
+    return [(plans[sig], on) for sig, on in instance.constraints]
+
+
 def _product_plan(analysis):
     """A product member's factors in 0-based local positions: the value
     of an arity-0 signature (its one factor; None otherwise), and per
@@ -322,9 +341,9 @@ def _product_plan(analysis):
     return const, blocks
 
 
-def eval_product_csp(instance: CspInstance) -> Scalar:
+def eval_product_csp(instance: CspInstance, *, analyze=None) -> Scalar:
     """Polynomial-time value of an instance whose constraints are all in
-    the product family.
+    the product family, by analyze(sig) or else is_product.
 
     Variable v has two literal nodes: 2v stands for v = 0 and 2v + 1 for
     v = 1.  Every constraint factors into unaries and antipodal-pair
@@ -339,25 +358,15 @@ def eval_product_csp(instance: CspInstance) -> Scalar:
     weights on a class (ONE when it has none), so an unread variable
     contributes 2.
     """
+    cons = _member_plans(instance, "product", analyze or is_product,
+                         "witness", _product_plan)
+    if cons is None:
+        return ZERO
     n = instance.num_vars
     scale = ONE
     weights = []  # (literal node, weight)
     joins = []
-    zero_instance = False
-    plans = {}  # one membership test and one plan per distinct signature
-    for sig, on in instance.constraints:
-        if sig not in plans:
-            analysis = is_product(sig)
-            if not analysis:
-                raise ValueError(
-                    f"constraint on {on} is outside the product family: "
-                    f"{analysis.witness}")
-            plans[sig] = None if sig.is_zero else _product_plan(analysis)
-        plan = plans[sig]
-        if plan is None:
-            zero_instance = True
-            continue
-        const, blocks = plan
+    for (const, blocks), on in cons:
         if const is not None:
             scale = scale * const
         for positions, bits, w0, w1 in blocks:
@@ -365,8 +374,6 @@ def eval_product_csp(instance: CspInstance) -> Scalar:
             weights += ((first, w0), (first ^ 1, w1))
             for u in rest:
                 joins += ((first, u), (first ^ 1, u ^ 1))
-    if zero_instance:
-        return ZERO
     root = component_roots(2 * n, joins)
     weight = {}  # class root -> W(class)
     for node, w in weights:
@@ -469,9 +476,9 @@ def _affine_plan(analysis):
              for mono, c in terms.items()])
 
 
-def eval_affine_csp(instance: CspInstance) -> Scalar:
+def eval_affine_csp(instance: CspInstance, *, analyze=None) -> Scalar:
     """Polynomial-time value of an instance whose constraints are all
-    affine.
+    affine, by analyze(sig) or else is_affine.
 
     The whole instance becomes one sum of i^Q for a Z4 quadratic Q with
     even cross terms (Cai, Chen, Lipton and Lu, "On tractable exponential
@@ -481,25 +488,15 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
     every bit of L, takes 2 rhs on its linear term and brings a factor
     1/2.  `_gauss_sum` then removes every variable by one elimination.
     """
+    cons = _member_plans(instance, "affine", analyze or is_affine,
+                         "reason", _affine_plan)
+    if cons is None:
+        return ZERO
     n = instance.num_vars
     linear = [0] * n
     adj = [set() for _ in linear]
     scale = ONE
-    zero_instance = False
-    plans = {}  # one membership test and one plan per distinct signature
-    for sig, on in instance.constraints:
-        if sig not in plans:
-            analysis = is_affine(sig)
-            if not analysis:
-                raise ValueError(
-                    f"constraint on {on} is outside the affine family: "
-                    f"{analysis.reason}")
-            plans[sig] = None if sig.is_zero else _affine_plan(analysis)
-        plan = plans[sig]
-        if plan is None:
-            zero_instance = True
-            continue
-        lam, sup_rows, monomials = plan
+    for (lam, sup_rows, monomials), on in cons:
         scale = scale * lam
         for positions, rhs in sup_rows:
             y, row = len(linear), set()
@@ -517,8 +514,6 @@ def eval_affine_csp(instance: CspInstance) -> Scalar:
                 adj[v] ^= {u}
             else:
                 linear[vs.pop()] += c
-    if zero_instance:
-        return ZERO
     # each support row brought a factor 1/2
     half = Scalar((1, 0, 0, 0), 1 << (len(linear) - n))
     return scale * half * _gauss_sum(linear, adj)
@@ -533,8 +528,6 @@ def vandermonde_interpolate(xs, ys) -> tuple:
     Square system; xs must be pairwise distinct (the Vandermonde matrix
     is then invertible over the field).
     """
-    from .signatures import _coerce_scalar
-
     xs = [_coerce_scalar(x) for x in xs]
     ys = [_coerce_scalar(y) for y in ys]
     m = len(xs)

@@ -375,9 +375,29 @@ def parse_scalar(obj) -> Scalar:
     raise ValueError(f"not a scalar encoding: {obj!r}")
 
 
+#: str() refuses an int of more than sys.get_int_max_str_digits() digits,
+#: a limit that guards parsing and is never below 640; 2,000 bits is 603.
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """str(n) past str()'s digit limit: n is split at a power of ten into
+    halves until each part is short enough for str()."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def _format_rational(n: int, d: int) -> str:
     """n/d in lowest terms, given d > 0 and gcd(n, d) == 1."""
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # past str()'s digit limit
+        return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 def scalar_to_json(s: Scalar):
@@ -388,7 +408,10 @@ def scalar_to_json(s: Scalar):
         # canonical form: gcd(n0, d) == 1 already
         return _format_rational(n0, d)
     if d == 1:
-        return [str(n0), str(n1), str(n2), str(n3)]
+        try:
+            return [str(n0), str(n1), str(n2), str(n3)]
+        except ValueError:  # past str()'s digit limit
+            return [_decimal(n) for n in s._n]
     out = []
     for n in s._n:
         g = math.gcd(n, d)

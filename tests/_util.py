@@ -575,3 +575,15 @@ def fibonacci(k):
     for _ in range(k):
         a, b = b, a + b
     return a
+
+
+def decimal_value(text: str) -> int:
+    """The int a decimal string spells, at any length: read 1,000 digits
+    at a time, so int()'s digit limit never applies."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    assert digits.isdigit() and (digits == "0" or digits[0] != "0"), text
+    value = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k:k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value

@@ -6,6 +6,7 @@ failure report otherwise), so a run of this module reads as a checklist.
 """
 
 import itertools
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -27,6 +28,7 @@ from _util import (
     realizable_signature,
     strip_by_transfer_matrix,
 )
+from holant.cli import main
 from holant.classes import is_affine, is_hadamard_matchgate, is_matchgate, \
     is_product, parity_of
 from holant.dichotomy import classify_pl_csp, evaluate
@@ -351,6 +353,22 @@ def test_brute_force_pays_for_the_largest_component_only():
         evaluate(chain, "brute")
     assert str(refused.value) == \
         "21 variables exceeds the brute-force cap of 20"
+
+
+def test_an_open_grid_of_40000_dangling_edges_is_refused_quickly(capsys,
+                                                                 tmp_path):
+    n = 40000
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({
+        "vertices": [{"sig": [1, 1], "edges": [v]} for v in range(n)],
+        "dangling": list(range(n))}))
+    with criterion("gadget refuses 40,000 dangling edges", 1.0):
+        code = main(["gadget", str(path)])
+    assert code == 1
+    printed = capsys.readouterr().out.splitlines()[0]  # then criterion's line
+    assert json.loads(printed) == {"error": {
+        "kind": "domain",
+        "message": "40000 dangling edges exceeds the arity cap"}}
 
 
 # -- classification --------------------------------------------------------------------

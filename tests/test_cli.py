@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from _util import grid_graph
+from _util import decimal_value, grid_graph
 from holant.cli import main
 from holant.fkt import PlanarGraph
 from holant.grids import CspInstance, SignatureGrid
@@ -456,6 +456,44 @@ def test_malformed_json_is_a_parse_error(capsys, tmp_path):
     code, out = run(capsys, "eval", str(path))
     assert code == 2
     assert out["error"]["kind"] == "parse"
+
+
+def test_a_syntax_error_keeps_its_message(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"vars": 1,}')
+    code, out = run(capsys, "eval", str(path))
+    assert (code, out) == (2, {"error": {
+        "kind": "parse",
+        "message": "Expecting property name enclosed in double quotes: "
+                   "line 1 column 12 (char 11)"}})
+
+
+def test_a_bare_integer_literal_past_the_digit_limit_is_a_parse_error(
+        capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"vars": 1, "constraints": [{"sig": [1, 1%s], '
+                    '"on": [0]}]}' % ("0" * 5000))
+    code, out = run(capsys, "eval", str(path))
+    assert code == 2
+    assert out["error"]["kind"] == "parse"
+    assert out["error"]["message"].startswith(f"cannot read {path}: ")
+    doc = put(tmp_path, "s.json", sig_doc([1, 0, 1]))
+    code, out = run(capsys, "transform", doc,
+                    "--matrix", "[[1, 0], [0, 1%s]]" % ("0" * 5000))
+    assert code == 2
+    assert out["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize("doc, value", [
+    ({"vars": 15000, "constraints": []}, 2 ** 15000),
+    ({"vars": 16000, "constraints": [{"sig": [1, 2], "on": [v]}
+                                     for v in range(16000)]}, 3 ** 16000),
+], ids=["2^15000", "3^16000"])
+def test_eval_prints_exact_values_past_the_str_digit_limit(capsys, tmp_path,
+                                                           doc, value):
+    code, out = run(capsys, "eval", put(tmp_path, "c.json", doc))
+    assert code == 0
+    assert decimal_value(out["value"]) == value
 
 
 @pytest.mark.parametrize("where", ["input", "registry"])

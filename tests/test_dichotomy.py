@@ -245,22 +245,62 @@ def test_parity_images_of_product_members_are_affine():
 # -- the evaluation planner ----------------------------------------------------------
 
 
-def test_evaluate_tests_each_distinct_signature_at_most_twice(monkeypatch):
-    calls = []
-    real = dichotomy.is_product
+def _count_family_tests(monkeypatch):
+    """Count every membership test by (family, signature), wherever the
+    planner or an evaluator looks it up."""
+    calls = {}
+    for family, test in list(dichotomy._FAMILY_TESTS.items()):
+        def counted(f, family=family, test=test):
+            calls[family, f] = calls.get((family, f), 0) + 1
+            return test(f)
+        monkeypatch.setitem(dichotomy._FAMILY_TESTS, family, counted)
+        for module in (dichotomy, grids):
+            if getattr(module, test.__name__, None) is test:
+                monkeypatch.setattr(module, test.__name__, counted)
+    return calls
 
-    def counted(f):
-        calls.append(f)
-        return real(f)
 
-    monkeypatch.setattr(dichotomy, "is_product", counted)
-    monkeypatch.setitem(dichotomy._FAMILY_TESTS, "product", counted)
-    monkeypatch.setattr(grids, "is_product", counted)
+def test_evaluate_tests_each_distinct_product_signature_once(monkeypatch):
+    calls = _count_family_tests(monkeypatch)
     f = S([1, 0, 3])  # product, not affine
     inst = CspInstance(12, tuple((f, (k % 11, k % 11 + 1)) for k in range(60)))
     # every variable is forced equal: all zero or all one
     assert evaluate(inst) == ("product", Scalar.from_int(1 + 3 ** 60))
-    assert 1 <= len(calls) <= 2
+    assert calls == {("product", f): 1}
+
+
+def test_evaluate_tests_each_distinct_affine_signature_once(monkeypatch):
+    calls = _count_family_tests(monkeypatch)
+    f = S([1, 1, -1])  # affine, not product
+    inst = CspInstance(12, tuple((f, (k % 11, k % 11 + 1)) for k in range(60)))
+    assert evaluate(inst) == ("affine", brute_force_csp(inst))
+    assert calls == {("product", f): 1, ("affine", f): 1}
+
+
+def test_split_csp_rewrites_and_realizes_each_distinct_signature_once(
+        monkeypatch):
+    lookups, sides = [], []
+    real_lookup, real_transform = dichotomy.builtin_fragment, \
+        dichotomy.transform
+
+    def lookup(f):
+        lookups.append(f)
+        return real_lookup(f)
+
+    def rewrite(f, t, side):
+        sides.append(side)
+        return real_transform(f, t, side)
+
+    monkeypatch.setattr(dichotomy, "builtin_fragment", lookup)
+    monkeypatch.setattr(dichotomy, "transform", rewrite)
+    f = apply_matrix(exact_one(3), H2)
+    one = CspInstance(3, ((f, (0, 1, 2)),))
+    inst = CspInstance(300, tuple((f, (3 * c, 3 * c + 1, 3 * c + 2))
+                                  for c in range(100)))
+    assert evaluate(inst) == ("fkt", brute_force_csp(one) ** 100)
+    # =_1 on the row side, f on the column side: one each, not one per part
+    assert sorted(sides) == ["column", "row"]
+    assert len(lookups) == len(set(lookups)) == 2
 
 
 def test_fkt_route_looks_up_and_checks_each_distinct_signature_once(
@@ -452,17 +492,7 @@ def test_a_zero_part_answers_before_a_part_over_the_cap():
 
 
 def test_parts_reuse_the_membership_tests_of_the_whole(monkeypatch):
-    calls = {}
-
-    def counting(family, test):
-        def counted(f):
-            calls[family, f] = calls.get((family, f), 0) + 1
-            return test(f)
-        return counted
-
-    for family, test in list(dichotomy._FAMILY_TESTS.items()):
-        monkeypatch.setitem(dichotomy._FAMILY_TESTS, family,
-                            counting(family, test))
+    calls = _count_family_tests(monkeypatch)
     rng = random.Random(18)
     seen = 0
     while seen < 5:
@@ -475,6 +505,20 @@ def test_parts_reuse_the_membership_tests_of_the_whole(monkeypatch):
         assert value == expected
         assert mode == "brute"
         assert max(calls.values()) == 1, inst
+
+
+def test_classifiers_test_each_distinct_signature_once_per_family(
+        monkeypatch):
+    calls = _count_family_tests(monkeypatch)
+    eq2, or3, h2_exact_one = equality(2), S([0, 1, 1, 1]), S([4, 2, 0, -2, -4])
+    sigs = [eq2, eq2, h2_exact_one, eq2, or3, h2_exact_one, or3]
+    verdict = classify_pl_csp(sigs)
+    assert verdict.category == "SharpPHard"
+    assert max(calls.values()) == 1
+    # a witness names the first failing position, not a later repeat
+    assert {name: w["index"] for name, w in verdict.witnesses.items()} == \
+        {"affine": 2, "product": 2, "hadamard_matchgate": 4}
+    assert verdict.witnesses["hadamard_matchgate"]["signature"] == or3
 
 
 def test_each_block_kind_takes_its_own_strategy():

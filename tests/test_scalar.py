@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from _util import decimal_value
 from holant.scalar import (
     I,
     MINUS_ONE,
@@ -213,6 +214,23 @@ def test_canonical_emit():
     assert scalar_to_json(Scalar.from_fraction(Fraction(-1, 3))) == "-1/3"
     assert scalar_to_json(I) == ["0", "0", "1", "0"]
     assert scalar_to_json(SQRT2 / 2) == ["0", "1/2", "0", "-1/2"]
+
+
+def test_wire_form_matches_str_around_the_chunk_size():
+    for n in (2 ** 1999, 2 ** 2000 - 1, 2 ** 2000, 2 ** 2001, 10 ** 602,
+              10 ** 603 - 1, 10 ** 603, 10 ** 1205 + 7, 3 ** 8000):
+        for m in (n, -n):
+            assert scalar_to_json(Scalar.from_int(m)) == str(m)
+
+
+def test_wire_form_prints_integers_past_the_str_digit_limit():
+    big = 3 ** 16000  # 7,634 digits, past str()'s 4,300
+    out = scalar_to_json(Scalar.from_int(-big))
+    assert decimal_value(out) == -big
+    num, den = scalar_to_json(Scalar.from_fraction(Fraction(1, big))).split("/")
+    assert (num, decimal_value(den)) == ("1", big)
+    parts = scalar_to_json(Scalar.of(0, big, 0, 2 ** 15000))
+    assert [decimal_value(p) for p in parts] == [0, big, 0, 2 ** 15000]
 
 
 # -- exact oracle: four Fraction coefficients modulo zeta^4 = -1 -------------
