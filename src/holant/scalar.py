@@ -394,10 +394,7 @@ def _decimal(n: int) -> str:
 
 def _format_rational(n: int, d: int) -> str:
     """n/d in lowest terms, given d > 0 and gcd(n, d) == 1."""
-    try:
-        return str(n) if d == 1 else f"{n}/{d}"
-    except ValueError:  # past str()'s digit limit
-        return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
+    return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 def scalar_to_json(s: Scalar):
@@ -408,10 +405,7 @@ def scalar_to_json(s: Scalar):
         # canonical form: gcd(n0, d) == 1 already
         return _format_rational(n0, d)
     if d == 1:
-        try:
-            return [str(n0), str(n1), str(n2), str(n3)]
-        except ValueError:  # past str()'s digit limit
-            return [_decimal(n) for n in s._n]
+        return [_decimal(n) for n in s._n]
     out = []
     for n in s._n:
         g = math.gcd(n, d)
