@@ -41,8 +41,9 @@ from .transforms import apply_matrix, check_holant_invariance, transform
 
 
 class _FileError(Exception):
-    """An input file that is missing, unreadable, not UTF-8 text, or
-    holds an integer literal longer than int() accepts."""
+    """An input file that is missing, unreadable, not UTF-8 text, holds
+    an integer literal longer than int() accepts, or nests deeper than
+    the JSON decoder can recurse."""
 
 
 def _load_document(path):
@@ -59,6 +60,9 @@ def _load_document(path):
         raise
     except ValueError as e:  # an integer literal past int's digit limit
         raise _FileError(f"cannot read {path}: {e}") from None
+    except RecursionError:
+        raise _FileError(
+            f"cannot read {path}: JSON nested too deeply") from None
 
 
 def _load_input(args):
@@ -234,7 +238,9 @@ def _matrix_argument(text: str):
         return parse_transform(text)
     try:
         obj = json.loads(text)
-    except ValueError:  # a syntax error, or an integer past the digit limit
+    except (ValueError, RecursionError):
+        # a syntax error, an integer past the digit limit, or nesting past
+        # the decoder's recursion limit
         raise SchemaError(
             "matrix", f"{text!r} is neither a known transform name "
             "nor a JSON matrix") from None

@@ -8,8 +8,11 @@ so the usual absolute-value trick for that sign is unavailable.  Instead
 the same oriented matrix with unit weights has Pfaffian sign * #matchings,
 an exact integer whose sign is the global one, and which is zero exactly
 when no perfect matching exists.  One pass over the faces the PlanarGraph
-constructor traced orients every connected component; each component is
-then counted on its own, so a unit-weight one needs no weighted Pfaffian.
+constructor traced orients every connected component, and the whole graph
+is counted at once: the matrix of a disconnected graph is block diagonal
+up to a vertex permutation, so each Pfaffian is the product of the
+blocks' Pfaffians times one permutation sign, the same for both.  The
+weighted Pfaffian is skipped when every weight is one.
 
 Both Pfaffians come from one sparse kernel: rows are dicts of nonzero
 entries, and a skew elimination pivots on a vertex of minimum degree and
@@ -20,14 +23,15 @@ Tarjan 1979).  Permuting vertices multiplies both Pfaffians by the same
 sign, so the count does not depend on the pivot order.
 
 Matchgate fragments are embedded weighted graphs with ordered dangling
-stubs; their signatures are weighted matching counts with dangling edges
-forced in or out.  A fragment is checked as one PlanarGraph in which
-every stub ends at a phantom vertex of degree one.  Grids whose vertices
-all carry such realizations are evaluated by stitching the fragments into
-one planar graph.
+stubs and a nonzero scale; their signatures are the scale times weighted
+matching counts with dangling edges forced in or out.  A fragment is
+checked as one PlanarGraph in which every stub ends at a phantom vertex
+of degree one.  Grids whose vertices all carry such realizations are
+evaluated by stitching the fragments into one planar graph, whose count
+times the fragments' scales is the value.
 
 builtin_fragment builds a realization from the support of a signature:
-a unit-weight shape, built once, times the scale on a separate edge.
+a unit-weight shape, built once, with the signature's constant as scale.
 """
 
 from __future__ import annotations
@@ -337,10 +341,10 @@ def _pfaffian_rows(rows) -> Scalar:
 
 
 def _count_component(n, arcs) -> Scalar:
-    """FKT count for one connected graph on n vertices, n even, from its
-    Kasteleyn-oriented arcs (u, v, w); the unit-weight Pfaffian, sign *
-    #matchings, fixes the sign of the weighted one.  Both matrices are
-    built as sparse rows, with parallel edges summed."""
+    """FKT count for a graph on n vertices from its Kasteleyn-oriented
+    arcs (u, v, w); the unit-weight Pfaffian, sign * #matchings, fixes the
+    sign of the weighted one.  Both matrices are built as sparse rows,
+    with parallel edges summed."""
     unit = [{} for _ in range(n)]
     for u, v, _ in arcs:
         unit[u][v] = unit[u].get(v, 0) + 1
@@ -361,37 +365,14 @@ def _count_component(n, arcs) -> Scalar:
     return pf if count.as_fraction() > 0 else -pf
 
 
-def _count_oriented(g: PlanarGraph, orient, label) -> Scalar:
-    """count_pm_fkt(g) from _orient_components(g): each component is
-    counted on its own vertex indices and the counts multiply."""
-    size = [0] * (max(label, default=-1) + 1)
-    index = []
-    for c in label:
-        index.append(size[c])
-        size[c] += 1
-    if any(k % 2 for k in size):
-        return ZERO
-    arcs = [[] for _ in size]
-    for (u, v, w), o in zip(g.edges, orient):
-        if o:
-            u, v = v, u
-        arcs[label[u]].append((index[u], index[v], w))
-    total = ONE
-    for k, comp in zip(size, arcs):
-        total = total * _count_component(k, comp)
-        if not total:
-            break
-    return total
-
-
 def count_pm_fkt(g: PlanarGraph) -> Scalar:
     """Weighted perfect-matching count via Kasteleyn orientation and
     Pfaffian, exact over the scalar field.
 
-    One orientation pass covers every component; the components are
-    counted apart and multiplied, so an isolated vertex gives zero.
+    One orientation pass covers every component, and one count covers
+    the whole graph, so an isolated vertex or an odd component gives zero.
     """
-    return _count_oriented(g, *_orient_components(g))
+    return _count_and_orientation(g)[0]
 
 
 def _count_and_orientation(g: PlanarGraph):
@@ -399,14 +380,18 @@ def _count_and_orientation(g: PlanarGraph):
     disconnected.  One orientation pass serves both; the component labels
     tell whether g is connected."""
     orient, label = _orient_components(g)
-    return _count_oriented(g, orient, label), None if any(label) else orient
+    arcs = [(v, u, w) if o else (u, v, w)
+            for (u, v, w), o in zip(g.edges, orient)]
+    return (_count_component(g.num_vertices, arcs),
+            None if any(label) else orient)
 
 
 # -- matchgate fragments ---------------------------------------------------------
 
 
 class MatchgateFragment:
-    """An embedded weighted graph with ordered dangling stubs.
+    """An embedded weighted graph with ordered dangling stubs, and a
+    nonzero scalar `scale` that multiplies its signature.
 
     `dangling[j]` is the internal vertex carrying stub j; stub j stands
     for signature variable j+1.  Rotations use a combined id space:
@@ -420,10 +405,13 @@ class MatchgateFragment:
     planar again).
     """
 
-    __slots__ = ("num_vertices", "edges", "rotation", "dangling")
+    __slots__ = ("num_vertices", "edges", "rotation", "dangling", "scale")
 
-    def __init__(self, num_vertices, edges, rotation, dangling):
+    def __init__(self, num_vertices, edges, rotation, dangling, scale=ONE):
         n = int(num_vertices)
+        self.scale = _coerce_scalar(scale)
+        if not self.scale:
+            raise ValueError("fragment has scale zero")
         self.dangling = tuple(dangling)
         k = len(self.dangling)
         stubs = []
@@ -470,10 +458,10 @@ class MatchgateFragment:
 def fragment_signature(frag: MatchgateFragment) -> Signature:
     """The signature the fragment realizes.
 
-    Entry at y is the weighted perfect-matching count of the internal
-    graph with the vertex under stub j removed exactly when bit j of y is
-    set (stub j forced into the matching); a stub pattern consuming a
-    vertex twice contributes zero.
+    Entry at y is the scale times the weighted perfect-matching count of
+    the internal graph with the vertex under stub j removed exactly when
+    bit j of y is set (stub j forced into the matching); a stub pattern
+    consuming a vertex twice contributes zero.
     """
     n = frag.num_vertices
     if n > ENUM_CAP:
@@ -494,7 +482,8 @@ def fragment_signature(frag: MatchgateFragment) -> Signature:
                     dead = True
                     break
                 mask &= ~bit
-        values.append(ZERO if dead else _matching_sum(adj, mask, memo))
+        values.append(ZERO if dead
+                      else frag.scale * _matching_sum(adj, mask, memo))
     return Signature(values)
 
 
@@ -506,7 +495,8 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
     compared with every vertex it serves; the fragments are stitched
     along grid edges into one embedded graph (each grid edge joins two
     stub attachment vertices with a unit edge), and the matching count
-    of the stitched graph is the Holant value.
+    of the stitched graph times the scale of every vertex's realization
+    is the Holant value.
     """
     if grid.dangling:
         raise ValueError("grid has dangling edges; matchgate evaluation needs a closed grid")
@@ -555,8 +545,10 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
             rotation.append(tuple(base + t - k if t >= k else link[t]
                                   for t in r
                                   if t >= k or link[t] is not None))
-    stitched = PlanarGraph(offsets[-1], edges, rotation)
-    return count_pm_fkt(stitched)
+    value = count_pm_fkt(PlanarGraph(offsets[-1], edges, rotation))
+    for frag in realizations:
+        value = value * frag.scale
+    return value
 
 
 # -- built-in realizations -------------------------------------------------------
@@ -565,19 +557,6 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
 def _load_library():
     """Does nothing, as built-in fragments are built on demand; kept for
     perfbench/worker.py and perfbench/setup_probe.py, which call it."""
-
-
-def _scaled(frag: MatchgateFragment, scale: Scalar) -> MatchgateFragment:
-    """The same gate times a scalar: a far-away weighted edge."""
-    # On a component of its own, the scale leaves the stub component unit
-    # weighted, so once stitched it needs no weighted elimination.
-    if scale == ONE:
-        return frag
-    n = frag.num_vertices
-    new_id = frag.arity + len(frag.edges)
-    edges = list(frag.edges) + [(n, n + 1, scale)]
-    rotation = list(frag.rotation) + [(new_id,), (new_id,)]
-    return MatchgateFragment(n + 2, edges, rotation, frag.dangling)
 
 
 @functools.cache
@@ -638,12 +617,13 @@ def _even_fragment(k: int) -> MatchgateFragment:
 def builtin_fragment(f: Signature):
     """A realization of f built from the shape of f alone, or None.
 
-    [a,0,0,b] with a, b nonzero is one edge of weight a/b, scaled by b.
+    [a,0,0,b] with a, b nonzero is one edge of weight a/b with scale b.
     Any other f must take one value c on its whole support, which picks
     a unit-weight shape: weight one (1 vertex), {0...0} (a path, 2k),
     {1...1} (a hub, k + 2) or, from arity 3, even weight (a chain,
-    4k - 8).  _scaled scales it by c.  None when that exceeds
-    ENUM_CAP vertices, so evaluate_matchgate_grid can verify it.
+    4k - 8).  The realization is that shape, built once, with scale c.
+    None when the shape exceeds ENUM_CAP vertices, so
+    evaluate_matchgate_grid can verify it.
     """
     if f.is_zero:
         return None
@@ -651,24 +631,25 @@ def builtin_fragment(f: Signature):
     support = f.support()
     full = (1 << n) - 1
     if n == 2 and support == {0, full}:
-        shape = MatchgateFragment(2, [(0, 1, f[0] / f[full])],
-                                  [(0, 2), (2, 1)], (0, 1))
-        scale = f[full]
-    else:
-        scale = f[min(support)]
-        if any(f[y] != scale for y in support):
-            return None
-        if support == {1 << j for j in range(n)}:
-            shape = _exact_one_fragment(n)
-        elif support == {0}:
-            shape = _all_zero_fragment(n)
-        elif support == {full}:
-            shape = _all_one_fragment(n)
-        elif n >= 3 and len(support) == 1 << (n - 1) and \
-                all(y.bit_count() % 2 == 0 for y in support):
-            shape = _even_fragment(n)
-        else:
-            return None
-    if shape.num_vertices + 2 * (scale != ONE) > ENUM_CAP:
+        return MatchgateFragment(2, [(0, 1, f[0] / f[full])],
+                                 [(0, 2), (2, 1)], (0, 1), f[full])
+    scale = f[min(support)]
+    if any(f[y] != scale for y in support):
         return None
-    return _scaled(shape, scale)
+    if support == {1 << j for j in range(n)}:
+        shape = _exact_one_fragment(n)
+    elif support == {0}:
+        shape = _all_zero_fragment(n)
+    elif support == {full}:
+        shape = _all_one_fragment(n)
+    elif n >= 3 and len(support) == 1 << (n - 1) and \
+            all(y.bit_count() % 2 == 0 for y in support):
+        shape = _even_fragment(n)
+    else:
+        return None
+    if shape.num_vertices > ENUM_CAP:
+        return None
+    if scale == ONE:
+        return shape
+    return MatchgateFragment(shape.num_vertices, shape.edges, shape.rotation,
+                             shape.dangling, scale)

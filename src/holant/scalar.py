@@ -270,8 +270,9 @@ class Scalar:
             if not nk:
                 continue
             q = Fraction(nk, self._d)
+            text = _format_rational(q.numerator, q.denominator)
             if k == 0:
-                parts.append(str(q))
+                parts.append(text)
             else:
                 unit = "zeta" if k == 1 else f"zeta^{k}"
                 if q == 1:
@@ -279,14 +280,15 @@ class Scalar:
                 elif q == -1:
                     parts.append(f"-{unit}")
                 else:
-                    parts.append(f"{q}*{unit}")
+                    parts.append(f"{text}*{unit}")
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
     def __repr__(self) -> str:
-        return f"Scalar({self._n}, {self._d})"
+        n = ", ".join(map(_decimal, self._n))
+        return f"Scalar(({n}), {_decimal(self._d)})"
 
 
 def _raw(n, d) -> Scalar:

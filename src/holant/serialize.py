@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 
 from .dichotomy import DichotomyVerdict
-from .fkt import MatchgateFragment, PlanarGraph
+from .fkt import PlanarGraph
 from .grids import CspInstance, SignatureGrid
 from .scalar import Scalar, parse_scalar, scalar_to_json
 from .signatures import Signature
@@ -153,7 +153,10 @@ def _edge_id_from_json(e, path):
     if isinstance(e, (int, str)):
         return e
     if isinstance(e, list):
-        return tuple(_edge_id_from_json(p, path) for p in e)
+        try:
+            return tuple(_edge_id_from_json(p, path) for p in e)
+        except RecursionError:
+            raise SchemaError(path, "edge id nested too deeply") from None
     raise SchemaError(path, f"expected an edge id, got {e!r}")
 
 
@@ -249,11 +252,7 @@ def graph_to_json(g: PlanarGraph) -> dict:
     }
 
 
-def fragment_to_json(frag: MatchgateFragment) -> dict:
-    return {**graph_to_json(frag), "dangling": list(frag.dangling)}
-
-
-def _parse_graph_fields(obj, path):
+def parse_graph(obj, path="graph") -> PlanarGraph:
     _expect(obj, dict, path, "a graph object")
     for key in ("vertices", "edges", "rotation"):
         if key not in obj:
@@ -277,22 +276,7 @@ def _parse_graph_fields(obj, path):
                                             "a list")))
         for k, r in enumerate(rot_raw)
     ]
-    return n, edges, rotation
-
-
-def parse_graph(obj, path="graph") -> PlanarGraph:
-    n, edges, rotation = _parse_graph_fields(obj, path)
     return PlanarGraph(n, edges, rotation)
-
-
-def parse_fragment(obj, path="fragment") -> MatchgateFragment:
-    n, edges, rotation = _parse_graph_fields(obj, path)
-    if "dangling" not in obj:
-        raise SchemaError(path, "needs 'dangling'")
-    raw = _expect(obj["dangling"], list, f"{path}.dangling", "a list")
-    dangling = tuple(_expect_int(v, f"{path}.dangling[{j}]")
-                     for j, v in enumerate(raw))
-    return MatchgateFragment(n, edges, rotation, dangling)
 
 
 # -- transforms ---------------------------------------------------------------------

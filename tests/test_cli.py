@@ -484,6 +484,50 @@ def test_a_bare_integer_literal_past_the_digit_limit_is_a_parse_error(
     assert out["error"]["kind"] == "parse"
 
 
+def test_deeply_nested_signatures_are_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"signatures": %s%s}' % ("[" * 5000, "]" * 5000))
+    code, out = run(capsys, "classify", str(path))
+    assert (code, out) == (2, {"error": {
+        "kind": "parse",
+        "message": f"cannot read {path}: JSON nested too deeply"}})
+
+
+def test_a_deeply_nested_matrix_is_a_parse_error(capsys, tmp_path):
+    doc = put(tmp_path, "s.json", sig_doc([1, 0, 1]))
+    code, out = run(capsys, "transform", doc,
+                    "--matrix", "[" * 3000 + "]" * 3000)
+    assert code == 2
+    assert out["error"]["kind"] == "parse"
+    assert out["error"]["path"] == "matrix"
+
+
+@pytest.mark.parametrize("command", ["gadget", "eval"])
+def test_a_deeply_nested_edge_id_is_a_parse_error(capsys, tmp_path, command):
+    edge = "[" * 900 + "0" + "]" * 900
+    path = tmp_path / "deep_edge.json"
+    path.write_text('{"vertices": [{"sig": [1, 0, 0, 1], "edges": [%s, %s]}]}'
+                    % (edge, edge))
+    code, out = run(capsys, command, str(path))
+    assert (code, out) == (2, {"error": {
+        "kind": "parse", "path": "grid.vertices[0].edges[0]",
+        "message": "edge id nested too deeply"}})
+
+
+@pytest.mark.parametrize("command", ["classify", "classify-csp"])
+def test_a_verdict_with_a_witness_past_the_str_digit_limit(capsys, tmp_path,
+                                                           command):
+    # each entry is short enough for str(), but the affine test rejects
+    # f[1] / f[0], whose parts are longer, and formats it as its witness
+    doc = put(tmp_path, "huge.json", {"signatures": [[
+        [str(7 ** 2500), "1", "0", "0"], str(3 ** 8000)]]})
+    code, out = run(capsys, command, doc)
+    assert code == 0
+    assert out["category"] == "PTime"
+    witness = out["witnesses"]["affine"]["witness"]
+    assert witness["index"] == 1 and len(witness["value"]) > 4300
+
+
 @pytest.mark.parametrize("doc, value", [
     ({"vars": 15000, "constraints": []}, 2 ** 15000),
     ({"vars": 16000, "constraints": [{"sig": [1, 2], "on": [v]}

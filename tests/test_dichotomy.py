@@ -381,6 +381,21 @@ def test_auto_falls_back_when_a_builtin_fragment_exceeds_the_cap():
     assert brute_force_holant(grid) == Scalar.from_int(1)
 
 
+def _planar_only_star(degree):
+    f = Signature([3, -1, -1, 3])
+    return CspInstance(degree + 1,
+                       tuple((f, (0, v)) for v in range(1, degree + 1)))
+
+
+def test_a_degree_7_variable_takes_the_fkt_route():
+    # the centre's H2 =_7 is 2 [y even]: the 20-vertex chain with scale 2;
+    # H2 =_8 would need a chain of 24 vertices, over ENUM_CAP
+    for degree, mode, value in ((7, "fkt", 256), (8, "brute", 512)):
+        star = _planar_only_star(degree)
+        assert brute_force_csp(star) == Scalar.from_int(value)
+        assert evaluate(star) == (mode, Scalar.from_int(value))
+
+
 # -- planning per connected component ------------------------------------------------
 
 

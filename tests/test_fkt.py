@@ -32,7 +32,6 @@ from holant.fkt import (
 )
 from holant.grids import SignatureGrid, brute_force_holant
 from holant.scalar import I, MINUS_ONE, ONE, ZERO, Scalar
-from holant.serialize import fragment_to_json, parse_fragment
 from holant.signatures import Signature, equality, exact_one, unary
 from holant.transforms import H2, apply_matrix
 
@@ -587,6 +586,24 @@ def test_path_fragment_realizes_a_gap_signature():
     assert fragment_signature(frag) == Signature([2, 0, 0, -I])
 
 
+def _rescaled(frag, scale):
+    return MatchgateFragment(frag.num_vertices, frag.edges, frag.rotation,
+                             frag.dangling, scale)
+
+
+def test_scale_multiplies_the_fragment_signature():
+    rng = random.Random(58)
+    for _ in range(30):
+        frag = random_fragment(rng)
+        scale = rand_nonzero_scalar(rng)
+        assert fragment_signature(_rescaled(frag, scale)) == \
+            scale * fragment_signature(frag)
+    # the scale is coerced and checked like an edge weight
+    assert _rescaled(frag, -2).scale == Scalar.from_int(-2)
+    with pytest.raises(ValueError, match="scale zero"):
+        _rescaled(frag, 0)
+
+
 def test_fragment_parity_follows_vertex_count():
     rng = random.Random(17)
     for _ in range(40):
@@ -661,15 +678,6 @@ def test_internal_graph_strips_stubs():
     assert g.rotation == ((0,), (0,))
 
 
-def test_fragment_json_round_trip():
-    rng = random.Random(20)
-    for _ in range(20):
-        frag = random_fragment(rng)
-        back = parse_fragment(fragment_to_json(frag))
-        assert fragment_signature(back) == fragment_signature(frag)
-        assert back.dangling == frag.dangling
-
-
 # -- built-in realizations -------------------------------------------------------
 
 
@@ -691,16 +699,18 @@ def test_builtin_exact_one_family():
 
 
 def test_builtin_hadamard_equalities():
-    for k in range(1, 7):
+    for k in range(1, 8):
         f = apply_matrix(equality(k), H2)
         frag = builtin_fragment(f)
         assert frag is not None
         assert fragment_signature(frag) == f
-    # H2 =_7 is 2 [y even]: the unit chain has 20 vertices, the scaled 22
+    # H2 =_7 is 2 [y even]: the unit chain of 20 vertices with scale 2
     even7 = Signature([1 - y.bit_count() % 2 for y in range(128)])
     assert apply_matrix(equality(7), H2) == Scalar.from_int(2) * even7
-    assert builtin_fragment(even7).num_vertices == 20
-    assert builtin_fragment(apply_matrix(equality(7), H2)) is None
+    frag = builtin_fragment(apply_matrix(equality(7), H2))
+    assert frag.num_vertices == 20 and frag.scale == Scalar.from_int(2)
+    # H2 =_8 would need a chain of 24 vertices, over ENUM_CAP
+    assert builtin_fragment(apply_matrix(equality(8), H2)) is None
 
 
 def test_builtin_gap_signatures():
@@ -718,7 +728,7 @@ def test_builtin_rejects_non_matchgates():
 def test_builtin_respects_random_realizable_pool():
     rng = random.Random(21)
     for _ in range(60):
-        f = realizable_signature(rng, rng.randint(1, 6))
+        f = realizable_signature(rng, rng.randint(1, 7))
         frag = builtin_fragment(f)
         assert frag is not None
         assert fragment_signature(frag) == f
@@ -752,16 +762,16 @@ def test_builtin_family_sweep_follows_the_size_rule(family):
             f = Signature([w if support_of(k, y) else ZERO
                            for y in range(1 << k)])
             frag = builtin_fragment(f)
-            size = unit_size(k) + (0 if w == ONE else 2)
-            if size > fkt.ENUM_CAP:
+            if unit_size(k) > fkt.ENUM_CAP:
                 assert frag is None, (family, k, w)
                 continue
-            assert frag.num_vertices == size, (family, k, w)
-            # the scale sits on the far edge, the last one; the rest is unit
-            assert all(x == ONE for _, _, x in frag.edges[:-1])
+            # the unit shape, whatever the weight, which is the scale
+            assert frag.num_vertices == unit_size(k), (family, k, w)
+            assert all(x == ONE for _, _, x in frag.edges)
+            assert frag.scale == w
             # fragment_signature enumerates 2^k stub patterns, so past
             # arity 12 one weight per arity is checked, a different one
-            # each time (ONE at 14, I at 16, the 20-vertex edge of the cap)
+            # each time (1/2 at 13, ONE at 14, -1 at 15, I at 16)
             if k <= 12 or w == SMALL_POOL[1 + k % 7]:
                 assert fragment_signature(frag) == f, (family, k, w)
 
@@ -771,9 +781,9 @@ def test_builtin_gap_sweep():
         for b in SMALL_POOL[1:]:
             f = Signature([a, 0, 0, b])
             frag = builtin_fragment(f)
-            # one edge of weight a/b, and the far edge when b is not 1
-            assert frag.num_vertices == (2 if b == ONE else 4)
-            assert frag.edges[0][2] == a / b
+            # one edge of weight a/b with scale b
+            assert frag.num_vertices == 2 and len(frag.edges) == 1
+            assert frag.edges[0][2] == a / b and frag.scale == b
             assert fragment_signature(frag) == f
 
 
@@ -837,6 +847,59 @@ def test_grid_evaluation_matches_brute_force():
         frags = [builtin_fragment(v.signature) for v in grid.vertices]
         assert evaluate_matchgate_grid(grid, frags) == \
             brute_force_holant(grid)
+
+
+def _user_fragment_grid(rng):
+    """A closed grid over a random plane graph whose every vertex carries
+    a random weighted fragment of its degree with a nonzero signature and
+    a scale other than ONE, and the signature that fragment realizes."""
+    g = random_planar_graph(rng, max_vertices=5, extra_edges=2, degree_cap=4)
+    frags = []
+    for r in g.rotation:
+        frag = random_fragment(rng, max_stubs=len(r))
+        while frag.arity != len(r) or fragment_signature(frag).is_zero:
+            frag = random_fragment(rng, max_stubs=len(r))
+        scale = rand_nonzero_scalar(rng, SMALL_POOL[2:])
+        frags.append(_rescaled(frag, scale))
+    grid = SignatureGrid([(fragment_signature(f), tuple(r))
+                          for f, r in zip(frags, g.rotation)])
+    return grid, frags
+
+
+def test_scaled_user_fragments_stitch_to_the_holant_value():
+    rng = random.Random(59)
+    nonzero = 0
+    for _ in range(30):
+        grid, frags = _user_fragment_grid(rng)
+        value = evaluate_matchgate_grid(grid, frags)
+        assert value == brute_force_holant(grid)
+        nonzero += bool(value)
+    assert nonzero >= 5
+
+
+def test_two_closed_grids_side_by_side_multiply():
+    # built-in fragments (unit edges but for the gap edge) beside weighted
+    # user fragments: the stitched graph mixes unit and weighted
+    # components and is counted whole
+    rng = random.Random(60)
+    nonzero = 0
+    for _ in range(30):
+        while True:
+            left = random_closed_grid(rng, realizable_signature,
+                                      max_vertices=4, extra_edges=2)
+            if brute_force_holant(left):
+                break
+        right, right_frags = _user_fragment_grid(rng)
+        shift = 1 + max(left.edge_ids)
+        union = SignatureGrid(
+            [(v.signature, v.edges) for v in left.vertices]
+            + [(v.signature, tuple(e + shift for e in v.edges))
+               for v in right.vertices])
+        frags = [builtin_fragment(v.signature) for v in left.vertices]
+        want = brute_force_holant(left) * brute_force_holant(right)
+        assert evaluate_matchgate_grid(union, frags + right_frags) == want
+        nonzero += bool(want)
+    assert nonzero >= 5
 
 
 def test_grid_evaluation_requires_closed_grid():

@@ -233,6 +233,16 @@ def test_wire_form_prints_integers_past_the_str_digit_limit():
     assert [decimal_value(p) for p in parts] == [0, big, 0, 2 ** 15000]
 
 
+def test_str_and_repr_format_integers_past_the_str_digit_limit():
+    big = 3 ** 16000
+    s = Scalar.from_int(big)
+    text = str(s)
+    assert decimal_value(text) == big
+    assert repr(s) == f"Scalar(({text}, 0, 0, 0), 1)"
+    assert str(-s * I) == f"-{text}*zeta^2"
+    assert str(Scalar.from_fraction(Fraction(1, big))) == f"1/{text}"
+
+
 # -- exact oracle: four Fraction coefficients modulo zeta^4 = -1 -------------
 
 integers = st.integers(min_value=-50, max_value=50)

@@ -5,8 +5,7 @@ import pytest
 from holant import serialize
 from holant.cli import main
 from holant.dichotomy import DichotomyVerdict, classify_pl_csp
-from holant.fkt import MatchgateFragment, PlanarGraph, count_pm_fkt, \
-    fragment_signature
+from holant.fkt import PlanarGraph, count_pm_fkt
 from holant.grids import CspInstance, SignatureGrid, brute_force_csp, \
     brute_force_holant, two_stretch
 from holant.scalar import I, ONE, Scalar, ZERO
@@ -15,11 +14,9 @@ from holant.serialize import (
     SchemaError,
     canonical_json,
     csp_to_json,
-    fragment_to_json,
     graph_to_json,
     grid_to_json,
     parse_csp,
-    parse_fragment,
     parse_graph,
     parse_grid,
     parse_registry,
@@ -355,19 +352,6 @@ def test_graph_bad_embedding_is_a_domain_error():
     with pytest.raises(ValueError) as e:
         parse_graph(doc)
     assert not isinstance(e.value, SchemaError)
-
-
-def test_fragment_round_trip():
-    frag = MatchgateFragment(
-        4,
-        [(0, 1, ONE), (1, 2, ONE), (2, 3, ONE)],
-        [(0, 2), (2, 3), (3, 4), (4, 1)],
-        (0, 3))
-    back = parse_fragment(fragment_to_json(frag))
-    assert fragment_signature(back) == fragment_signature(frag)
-    with pytest.raises(SchemaError) as e:
-        parse_fragment(graph_to_json(k4()))
-    assert "'dangling'" in e.value.message
 
 
 # -- transforms ----------------------------------------------------------------------
