@@ -240,9 +240,10 @@ def _matrix_argument(text: str):
         obj = json.loads(text)
     except (ValueError, RecursionError):
         # a syntax error, an integer past the digit limit, or nesting past
-        # the decoder's recursion limit
+        # the decoder's recursion limit; a long text is echoed in part
+        shown = repr(text[:60]) + ("..." if len(text) > 60 else "")
         raise SchemaError(
-            "matrix", f"{text!r} is neither a known transform name "
+            "matrix", f"{shown} is neither a known transform name "
             "nor a JSON matrix") from None
     return parse_transform(obj)
 

@@ -39,11 +39,11 @@ from .classes import (
     is_twisted_hadamard_matchgate,
 )
 from .fkt import builtin_fragment, evaluate_matchgate_grid
-from .grids import CspInstance, brute_force_csp, brute_force_holant, \
-    csp_to_grid, eval_affine_csp, eval_product_csp
+from .grids import CspInstance, SignatureGrid, brute_force_csp, \
+    brute_force_holant, csp_to_grid, eval_affine_csp, eval_product_csp
 from .scalar import ONE
 from .signatures import Signature
-from .transforms import H2, transform
+from .transforms import H2, H2_NORMALIZED, apply_matrix
 
 PTIME = "PTime"
 PLANAR_PTIME_ONLY = "PlanarPTimeOnly"
@@ -186,23 +186,24 @@ def classify_pl_csp2_symmetric(signatures) -> DichotomyVerdict:
 # -- evaluation planning ----------------------------------------------------------
 
 
-def _h2(f, side):  # one key for once, without hashing H2
-    return transform(f, H2, side)
+def _hadamard(f):
+    """H f, with H = H2/sqrt(2) on every input: the H2 butterfly, scaled."""
+    return apply_matrix(f, H2) * H2_NORMALIZED.a ** f.arity
 
 
 def _fkt_route(problem, once):
     """The grid the FKT route evaluates, with one built-in fragment per vertex.
 
-    A csp goes through its bipartite grid form, rewritten by H2 on the
-    equality side and by its inverse on the constraint side; that keeps
-    the value, turns each =_k into H2·=_k = 2·[y even] and takes each
-    constraint H2·g back to g.  A grid is taken as it is.  Through once,
-    each distinct signature is rewritten and looked up once per evaluate
-    call, in grid order up to the first vertex without a realization.
-    Returns ((grid, fragments), None), or (None, why the route does not
-    apply).
+    A csp goes through its grid form with every vertex rewritten by H:
+    H is symmetric and its own inverse, so H H on every edge keeps the
+    value.  That turns each =_k into (sqrt 2)^(2-k) [y even] and each
+    constraint H2 g into (sqrt 2)^k g.  A grid is taken as it is.
+    Through once, each distinct signature is rewritten and looked up once
+    per evaluate call, the lookups in grid order up to the first vertex
+    without a realization.  Returns ((grid, fragments), None), or (None,
+    why the route does not apply).
     """
-    grid, where, rewrite = problem, "", None
+    grid, where = problem, ""
     if isinstance(problem, CspInstance):
         try:
             grid, where = csp_to_grid(problem), " after the basis change"
@@ -210,15 +211,14 @@ def _fkt_route(problem, once):
             return None, str(e)
         if not grid.is_planar():
             return None, "instance grid is not planar as constructed"
-        rewrite = (lambda f: once(_h2, f, "row"),
-                   lambda f: once(_h2, f, "column"))
+        grid = SignatureGrid([(once(_hadamard, v.signature), v.edges)
+                              for v in grid.vertices])
     frags = []
     for k, v in enumerate(grid.vertices):
-        frags.append(once(builtin_fragment, v.signature if rewrite is None
-                          else rewrite[grid.sides[k] == "right"](v.signature)))
+        frags.append(once(builtin_fragment, v.signature))
         if frags[-1] is None:
             return None, f"vertex {k}: no built-in realization{where}"
-    return (grid.map_sides(*rewrite) if rewrite else grid, frags), None
+    return (grid, frags), None
 
 
 def _csp_parts(instance):

@@ -621,9 +621,9 @@ def builtin_fragment(f: Signature):
     Any other f must take one value c on its whole support, which picks
     a unit-weight shape: weight one (1 vertex), {0...0} (a path, 2k),
     {1...1} (a hub, k + 2) or, from arity 3, even weight (a chain,
-    4k - 8).  The realization is that shape, built once, with scale c.
-    None when the shape exceeds ENUM_CAP vertices, so
-    evaluate_matchgate_grid can verify it.
+    4k - 8).  The realization is that shape, built and checked once, and
+    the nonzero c as its scale.  None when the shape exceeds ENUM_CAP
+    vertices, so evaluate_matchgate_grid can verify it.
     """
     if f.is_zero:
         return None
@@ -649,7 +649,7 @@ def builtin_fragment(f: Signature):
         return None
     if shape.num_vertices > ENUM_CAP:
         return None
-    if scale == ONE:
-        return shape
-    return MatchgateFragment(shape.num_vertices, shape.edges, shape.rotation,
-                             shape.dangling, scale)
+    frag = object.__new__(MatchgateFragment)  # the checked shape, rescaled
+    frag.num_vertices, frag.edges, frag.rotation, frag.dangling, frag.scale = \
+        shape.num_vertices, shape.edges, shape.rotation, shape.dangling, scale
+    return frag

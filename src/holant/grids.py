@@ -356,7 +356,7 @@ def eval_product_csp(instance: CspInstance, *, analyze=None) -> Scalar:
     variable is a parity conflict and kills the sum; otherwise each
     mirror pair {C, C'} contributes W(C) + W(C'), where W multiplies the
     weights on a class (ONE when it has none), so an unread variable
-    contributes 2.
+    contributes 2; those factors 2 are multiplied in once, as 2^count.
     """
     cons = _member_plans(instance, "product", analyze or is_product,
                          "witness", _product_plan)
@@ -381,14 +381,18 @@ def eval_product_csp(instance: CspInstance, *, analyze=None) -> Scalar:
         weight[r] = weight[r] * w if r in weight else w
     total = scale
     paired = set()
+    bare = 0  # mirror pairs without a weight, each a factor 2
     for v in range(n):
         r0, r1 = root[2 * v], root[2 * v + 1]
         if r0 == r1:
             return ZERO
         if r0 not in paired:
             paired.update((r0, r1))
-            total = total * (weight.get(r0, ONE) + weight.get(r1, ONE))
-    return total
+            if r0 in weight or r1 in weight:
+                total = total * (weight.get(r0, ONE) + weight.get(r1, ONE))
+            else:
+                bare += 1
+    return total * (1 << bare)
 
 
 # -- affine-family evaluator ----------------------------------------------------

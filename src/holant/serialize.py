@@ -88,33 +88,23 @@ def parse_signature(obj, path="signature", registry=None) -> Signature:
         if obj not in registry:
             raise SchemaError(path, f"unknown signature name {obj!r}")
         return registry[obj]
-    if isinstance(obj, list):
-        values = [parse_scalar_field(v, f"{path}[{k}]")
-                  for k, v in enumerate(obj)]
-        try:
-            return Signature(values)
-        except ValueError as e:
-            raise SchemaError(path, str(e)) from None
-    _expect(obj, dict, path, "a signature object")
-    if "symmetric" in obj:
-        entries = _expect(obj["symmetric"], list, f"{path}.symmetric",
-                          "a list")
-        values = [parse_scalar_field(v, f"{path}.symmetric[{k}]")
-                  for k, v in enumerate(entries)]
-        try:
-            return Signature.from_symmetric(values)
-        except ValueError as e:
-            raise SchemaError(f"{path}.symmetric", str(e)) from None
-    if "values" not in obj:
-        raise SchemaError(path, "needs 'values' or 'symmetric'")
-    raw = _expect(obj["values"], list, f"{path}.values", "a list")
-    values = [parse_scalar_field(v, f"{path}.values[{k}]")
+    key, where, raw = None, path, obj  # a bare value list
+    if not isinstance(obj, list):
+        _expect(obj, dict, path, "a signature object")
+        key = "symmetric" if "symmetric" in obj else "values"
+        if key not in obj:
+            raise SchemaError(path, "needs 'values' or 'symmetric'")
+        where = f"{path}.{key}"
+        raw = _expect(obj[key], list, where, "a list")
+    values = [parse_scalar_field(v, f"{where}[{k}]")
               for k, v in enumerate(raw)]
+    build = Signature.from_symmetric if key == "symmetric" else Signature
     try:
-        f = Signature(values)
+        f = build(values)
     except ValueError as e:
-        raise SchemaError(f"{path}.values", str(e)) from None
-    if "arity" in obj and _expect_int(obj["arity"], f"{path}.arity") != f.arity:
+        raise SchemaError(where, str(e)) from None
+    if key == "values" and "arity" in obj and \
+            _expect_int(obj["arity"], f"{path}.arity") != f.arity:
         raise SchemaError(f"{path}.arity",
                           f"states {obj['arity']} but values give {f.arity}")
     return f

@@ -79,7 +79,9 @@ class Transform2x2:
 #: it introduces, so nothing is lost by skipping the 1/sqrt(2).
 H2 = Transform2x2(ONE, ONE, ONE, MINUS_ONE)
 
-#: The orthonormal variant, for callers who want H2 self-inverse on the nose.
+#: The orthonormal variant H, symmetric and its own inverse; the FKT route
+#: of dichotomy.evaluate rewrites every vertex by it, as the H2 butterfly
+#: times the entry 1/sqrt(2) per input.
 H2_NORMALIZED = H2 * SQRT2.inverse()
 
 DIAG_I = Transform2x2.diagonal(ONE, I)

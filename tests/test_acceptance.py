@@ -275,6 +275,13 @@ def test_product_evaluator_matches_brute_force():
             assert eval_product_csp(inst) == brute_force_csp(inst)
 
 
+def test_300000_unread_variables_answer_quickly():
+    # each unread variable is a weightless mirror pair, a factor 2
+    inst = CspInstance(300000, ())
+    with criterion("300,000 unread variables", 1.0):
+        assert evaluate(inst) == ("product", Scalar.from_int(1 << 300000))
+
+
 def test_affine_evaluator_matches_brute_force():
     rng = random.Random(46)
     with criterion("affine evaluator, 200 instances", 60.0):

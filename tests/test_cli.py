@@ -500,6 +500,14 @@ def test_a_deeply_nested_matrix_is_a_parse_error(capsys, tmp_path):
     assert code == 2
     assert out["error"]["kind"] == "parse"
     assert out["error"]["path"] == "matrix"
+    # the echo is cut after 60 characters; a shorter text is echoed whole
+    assert out["error"]["message"] == repr("[" * 60) + \
+        "... is neither a known transform name nor a JSON matrix"
+    assert len(json.dumps(out)) < 200
+    for text in ("hadamrd", "[" * 60):
+        code, out = run(capsys, "transform", doc, "--matrix", text)
+        assert (code, out["error"]["message"]) == (2, repr(text) + \
+            " is neither a known transform name nor a JSON matrix")
 
 
 @pytest.mark.parametrize("command", ["gadget", "eval"])

@@ -7,11 +7,13 @@ from _util import (
     rand_affine_signature,
     rand_csp,
     rand_product_signature,
+    rand_signature,
+    random_closed_grid,
     random_planar_graph,
     realizable_signature,
 )
 from holant.classes import is_affine, parity_of
-from holant import dichotomy, fkt, grids
+from holant import dichotomy, fkt, grids, transforms
 from holant._embedding import component_roots
 from holant.dichotomy import (
     DichotomyVerdict,
@@ -277,29 +279,35 @@ def test_evaluate_tests_each_distinct_affine_signature_once(monkeypatch):
     assert calls == {("product", f): 1, ("affine", f): 1}
 
 
+def _count_rewrites(monkeypatch):
+    """The signatures the FKT route rewrites, one entry per call."""
+    rewrites, real = [], dichotomy._hadamard
+
+    def counted(f):
+        rewrites.append(f)
+        return real(f)
+
+    monkeypatch.setattr(dichotomy, "_hadamard", counted)
+    return rewrites
+
+
 def test_split_csp_rewrites_and_realizes_each_distinct_signature_once(
         monkeypatch):
-    lookups, sides = [], []
-    real_lookup, real_transform = dichotomy.builtin_fragment, \
-        dichotomy.transform
+    lookups, real_lookup = [], dichotomy.builtin_fragment
 
     def lookup(f):
         lookups.append(f)
         return real_lookup(f)
 
-    def rewrite(f, t, side):
-        sides.append(side)
-        return real_transform(f, t, side)
-
     monkeypatch.setattr(dichotomy, "builtin_fragment", lookup)
-    monkeypatch.setattr(dichotomy, "transform", rewrite)
+    rewrites = _count_rewrites(monkeypatch)
     f = apply_matrix(exact_one(3), H2)
     one = CspInstance(3, ((f, (0, 1, 2)),))
     inst = CspInstance(300, tuple((f, (3 * c, 3 * c + 1, 3 * c + 2))
                                   for c in range(100)))
     assert evaluate(inst) == ("fkt", brute_force_csp(one) ** 100)
-    # =_1 on the row side, f on the column side: one each, not one per part
-    assert sorted(sides) == ["column", "row"]
+    # =_1 and f: one rewrite and one lookup each, not one per part
+    assert sorted(rewrites, key=repr) == [equality(1), f]
     assert len(lookups) == len(set(lookups)) == 2
 
 
@@ -327,20 +335,74 @@ def test_fkt_route_looks_up_and_checks_each_distinct_signature_once(
 
 
 def test_fkt_route_rewrites_each_distinct_signature_once(monkeypatch):
-    sides = []
-    real = dichotomy.transform
-
-    def counted(f, t, side):
-        sides.append(side)
-        return real(f, t, side)
-
-    monkeypatch.setattr(dichotomy, "transform", counted)
+    rewrites = _count_rewrites(monkeypatch)
     f = apply_matrix(exact_one(2), H2)
     n = 12
     inst = CspInstance(n, tuple((f, (i, (i + 1) % n)) for i in range(n)))
     assert evaluate(inst, "fkt") == ("fkt", brute_force_csp(inst))
-    # one equality(2) on the row side, one constraint on the column side
-    assert sorted(sides) == ["column", "row"]
+    # one for the twelve degree-2 variables, one for the constraints
+    assert sorted(rewrites, key=repr) == [equality(2), f]
+
+
+def test_a_signature_on_both_sides_is_rewritten_once(monkeypatch):
+    rewrites = _count_rewrites(monkeypatch)
+    n = 12
+    cycle = CspInstance(n, tuple((equality(2), (i, (i + 1) % n))
+                                 for i in range(n)))
+    # =_2 is every variable and every constraint: one rewrite serves both
+    assert evaluate(cycle, "fkt") == ("fkt", Scalar.from_int(2))
+    assert rewrites == [equality(2)]
+
+
+def _with_self_loops(rng, grid):
+    """grid with a self-loop spliced into the rotation of one or two
+    vertices, each of which gets a fresh signature of the new arity."""
+    vertices = [(v.signature, list(v.edges)) for v in grid.vertices]
+    for k in rng.sample(range(len(vertices)), min(2, len(vertices))):
+        edges = vertices[k][1]
+        at = rng.randrange(len(edges) + 1)
+        edges[at:at] = [("loop", k)] * 2
+        vertices[k] = (rand_signature(rng, len(edges)), edges)
+    return SignatureGrid(vertices)
+
+
+def _is_bipartite(grid):
+    side = component_roots(2 * len(grid.vertices), (
+        pair for e in grid.edge_ids
+        for (u, _), (v, _) in [grid.occurrences(e)]
+        for pair in ((2 * u, 2 * v + 1), (2 * u + 1, 2 * v))))
+    return all(side[2 * u] != side[2 * u + 1]
+               for u in range(len(grid.vertices)))
+
+
+def test_hadamard_on_every_vertex_keeps_any_closed_grid():
+    # H = H2/sqrt(2) is symmetric and its own inverse, so H H on every
+    # edge is the identity: no bipartition needed, and self-loops are fine
+    rng = random.Random(38)
+    odd = 0
+    for t in range(80):
+        grid = random_closed_grid(rng, rand_signature, max_vertices=5)
+        if t % 2:
+            grid = _with_self_loops(rng, grid)
+        odd += not _is_bipartite(grid)
+        rewritten = SignatureGrid([(dichotomy._hadamard(v.signature),
+                                    v.edges) for v in grid.vertices])
+        assert brute_force_holant(rewritten) == brute_force_holant(grid)
+    assert odd > 40  # the 40 looped grids, and some loopless odd cycles
+
+
+def test_a_tree_csp_takes_the_fkt_route_without_a_matrix_inverse(
+        monkeypatch):
+    inverses, real = [], transforms.Transform2x2.inverse
+
+    def inverse(t):
+        inverses.append(t)
+        return real(t)
+
+    monkeypatch.setattr(transforms.Transform2x2, "inverse", inverse)
+    star = _planar_only_star(5)
+    assert evaluate(star) == ("fkt", brute_force_csp(star))
+    assert inverses == []
 
 
 _EVAL_POOLS = {
@@ -388,8 +450,8 @@ def _planar_only_star(degree):
 
 
 def test_a_degree_7_variable_takes_the_fkt_route():
-    # the centre's H2 =_7 is 2 [y even]: the 20-vertex chain with scale 2;
-    # H2 =_8 would need a chain of 24 vertices, over ENUM_CAP
+    # the centre's H =_7 is (sqrt 2)^-5 [y even]: the 20-vertex chain;
+    # H =_8 would need a chain of 24 vertices, over ENUM_CAP
     for degree, mode, value in ((7, "fkt", 256), (8, "brute", 512)):
         star = _planar_only_star(degree)
         assert brute_force_csp(star) == Scalar.from_int(value)

@@ -713,6 +713,22 @@ def test_builtin_hadamard_equalities():
     assert builtin_fragment(apply_matrix(equality(8), H2)) is None
 
 
+def test_a_scaled_builtin_reuses_the_checked_shape(monkeypatch):
+    f = apply_matrix(equality(5), H2)  # 2 [y even]: the chain, scale 2
+    unit = builtin_fragment(f / 2)  # builds and checks the chain
+    checks, real = [], fkt.PlanarGraph
+
+    def check(*args):
+        checks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fkt, "PlanarGraph", check)
+    frag = builtin_fragment(f)
+    assert checks == []
+    assert frag.scale == Scalar.from_int(2) and frag.edges is unit.edges
+    assert fragment_signature(frag) == f
+
+
 def test_builtin_gap_signatures():
     f = Signature([2, 0, 0, -I])
     frag = builtin_fragment(f)

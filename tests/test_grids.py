@@ -387,6 +387,15 @@ def test_odd_disequality_cycle_is_infeasible():
     assert eval_product_csp(cycle_csp(disequality(), 5)) == ZERO
 
 
+def test_disequality_chain_beside_unread_variables():
+    # 0 != 1 != 2 != 3 and a weighted 5; 4, 6, 7 and 8 are unread
+    cons = tuple((disequality(), (v, v + 1)) for v in range(3))
+    inst = CspInstance(9, cons + ((unary(2, 3), (5,)),))
+    assert eval_product_csp(inst) == brute_force_csp(inst) == \
+        Scalar.from_int(2 * 5 * 2 ** 4)
+    assert eval_product_csp(CspInstance(9, cons)) == Scalar.from_int(2 ** 6)
+
+
 def test_product_literal():
     inst = CspInstance(2, ((unary(2, 3), (0,)),
                            (Signature([1, 0, 0, 5]), (0, 1))))
