@@ -5,22 +5,20 @@ graph so that every bounded face has an odd number of clockwise edges;
 then every perfect matching enters the Pfaffian of the signed adjacency
 matrix with one common sign.  Everything stays in the exact scalar field,
 so the usual absolute-value trick for that sign is unavailable.  Instead
-the same oriented matrix with unit weights has Pfaffian sign * #matchings,
-an exact integer whose sign is the global one, and which is zero exactly
-when no perfect matching exists.  One pass over the faces the PlanarGraph
-constructor traced orients every connected component, and the whole graph
-is counted at once: the matrix of a disconnected graph is block diagonal
-up to a vertex permutation, so each Pfaffian is the product of the
-blocks' Pfaffians times one permutation sign, the same for both.  The
-weighted Pfaffian is skipped when every weight is one.
+the sign is read off one perfect matching, found by Edmonds' blossom
+search (Edmonds 1965): its term in the Pfaffian has the common sign, and
+a graph without one counts zero with no elimination at all.  One pass
+over the faces the PlanarGraph constructor traced orients every connected
+component, and the whole graph is counted at once by one Pfaffian.
 
-Both Pfaffians come from one sparse kernel: rows are dicts of nonzero
+That Pfaffian comes from a sparse kernel: rows are dicts of nonzero
 entries, and a skew elimination pivots on a vertex of minimum degree and
 its neighbour of minimum degree, so an update touches only the nonzeros
 around the pivot and the fill of a planar matrix stays small whatever
 the vertex numbering (Galbiati and Maffioli 1994; Lipton, Rose and
-Tarjan 1979).  Permuting vertices multiplies both Pfaffians by the same
-sign, so the count does not depend on the pivot order.
+Tarjan 1979).  Permuting vertices multiplies the Pfaffian and the
+matching's term by the same sign, so the count does not depend on the
+pivot order or on the numbering.
 
 Matchgate fragments are embedded weighted graphs with ordered dangling
 stubs and a nonzero scale; their signatures are the scale times weighted
@@ -154,8 +152,9 @@ def enumerate_pm(g: PlanarGraph) -> Scalar:
 
 
 def _orient_components(g: PlanarGraph):
-    """kasteleyn_orient on every component of g at once, and the
-    component label of each vertex.  A BFS forest, restarted at each
+    """kasteleyn_orient on every component of g at once, the component
+    label of each vertex, and the adjacency of g (see _adjacency), which
+    the BFS walks and count_pm_fkt reuses.  A BFS forest, restarted at each
     unseen vertex, labels the components 0, 1, ...; the other edges form
     the dual forest, rooted at each component's first traced face.
     Leaves first, each other face orients its parent edge to become
@@ -223,7 +222,7 @@ def _orient_components(g: PlanarGraph):
     for f, e in parent_edge.items():
         if e is not None and sum(1 for d in faces[f] if clockwise(d)) % 2 == 0:
             raise ValueError("clockwise-odd postcondition failed")
-    return tuple(orient), label
+    return tuple(orient), label, adj
 
 
 def kasteleyn_orient(g: PlanarGraph) -> tuple:
@@ -236,7 +235,7 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
     Requires a connected graph; the property is re-checked before
     returning.  count_pm_fkt orients every component in the same pass.
     """
-    orient, label = _orient_components(g)
+    orient, label, _ = _orient_components(g)
     if any(label):
         raise ValueError("kasteleyn_orient needs a connected graph")
     return orient
@@ -328,7 +327,13 @@ def _pfaffian_rows(rows) -> Scalar:
                     del row_i[j], rows[j][i]
         for i, _, _ in near:
             heapq.heappush(heap, (len(rows[i]), i))
-    # the order, as a permutation, has sign (-1)^(n - number of cycles)
+    return -result if _odd_permutation(order) else result
+
+
+def _odd_permutation(order) -> bool:
+    """Whether the permutation i -> order[i] of range(len(order)) is odd:
+    its sign is (-1)^(n - number of cycles)."""
+    n = len(order)
     seen = [False] * n
     cycles = 0
     for v in range(n):
@@ -337,52 +342,159 @@ def _pfaffian_rows(rows) -> Scalar:
             while not seen[v]:
                 seen[v] = True
                 v = order[v]
-    return result if (n - cycles) % 2 == 0 else -result
+    return (n - cycles) % 2 == 1
 
 
-def _count_component(n, arcs) -> Scalar:
+def _perfect_matching(n, adj):
+    """The mates of one perfect matching of the graph with adjacency adj
+    (see _adjacency), or None when it has none.
+
+    A greedy pass matches what it can; then Edmonds' blossom search runs
+    from each vertex still free, in Gabow's form (Gabow 1976): outer
+    vertices carry a label that spells their alternating path to the
+    root (a vertex label, or an edge label (x, y) inside a blossom), and
+    `first` points along that path to the next vertex that is not outer,
+    compressed as blossoms form.  A search costs about the edges it
+    scans, whatever the blossoms.  When one finds no augmenting path, its
+    root stays free in some maximum matching, so there is no perfect
+    matching.
+    """
+    if n % 2:
+        return None
+    # mate[v] == n marks v free; the sentinel n is its own mate
+    mate = [n] * (n + 1)
+    for u in range(n):
+        if mate[u] == n:
+            for v, _, _ in adj[u]:
+                if mate[v] == n:
+                    mate[u], mate[v] = v, u
+                    break
+    for root in range(n):
+        if mate[root] == n and not _augment(root, adj, mate):
+            return None
+    del mate[n]
+    return mate
+
+
+def _augment(root, adj, mate) -> bool:
+    """Search from the free vertex root for an augmenting path and flip
+    it into mate; False when there is none.  The labels live for one
+    search, so its cost is that of the part of the graph it reaches."""
+    n = len(mate) - 1
+    label = {root: None}  # the outer vertices
+    first = {root: n}
+
+    def nonouter(v):
+        # the first vertex on v's path that is not outer, with the
+        # pointers on the way compressed to it
+        f = first[v]
+        while f in label:
+            f = first[f]
+        while first[v] != f:
+            first[v], v = f, first[v]
+        return f
+
+    queue = [root]
+    for x in queue:
+        for y, _, _ in adj[x]:
+            if mate[y] == n and y != root:
+                # rematch the path root ... x y: each step pairs v with w
+                # and repairs the path behind v's old mate
+                mate[y] = x
+                todo = [(x, y)]
+                while todo:
+                    v, w = todo.pop()
+                    t = mate[v]
+                    mate[v] = w
+                    if mate[t] != v:
+                        continue
+                    lab = label[v]
+                    if lab.__class__ is tuple:
+                        todo += ((lab[1], lab[0]), lab)
+                    else:
+                        mate[t] = lab
+                        todo.append((lab, t))
+                return True
+            if y in label:
+                # a blossom: walk both paths by turns to their join, then
+                # label the non-outer vertices before it
+                r, s = nonouter(x), nonouter(y)
+                if r == s:
+                    continue
+                flagged = {r, s}
+                while True:
+                    if s != n:
+                        r, s = s, r
+                    r = nonouter(label[mate[r]])
+                    if r in flagged:
+                        break
+                    flagged.add(r)
+                join = r
+                for v in (nonouter(x), nonouter(y)):
+                    while v != join:
+                        label[v] = (x, y)
+                        first[v] = join
+                        queue.append(v)
+                        v = nonouter(label[mate[v]])
+                continue
+            v = mate[y]
+            if v not in label:
+                label[v] = x
+                first[v] = y
+                queue.append(v)
+    return False
+
+
+def _count_component(n, arcs, adj) -> Scalar:
     """FKT count for a graph on n vertices from its Kasteleyn-oriented
-    arcs (u, v, w); the unit-weight Pfaffian, sign * #matchings, fixes the
-    sign of the weighted one.  Both matrices are built as sparse rows,
-    with parallel edges summed."""
-    unit = [{} for _ in range(n)]
-    for u, v, _ in arcs:
-        unit[u][v] = unit[u].get(v, 0) + 1
-        unit[v][u] = unit[v].get(u, 0) - 1
-    count = _pfaffian_rows([{j: Scalar.from_int(c) for j, c in row.items() if c}
-                            for row in unit])
-    if not count:
+    arcs (u, v, w) and its adjacency: one Pfaffian of the weighted
+    matrix, built as sparse rows with parallel edges summed, times the
+    sign of one perfect matching's term, and zero with no elimination
+    when there is no perfect matching.
+
+    Under the orientation every perfect matching has the same term sign,
+    so any one fixes it: the sign of the permutation (u1 v1 u2 v2 ...)
+    that lists each matched pair tail first.  Parallel edges that a
+    perfect matching can use run alike, for the 2-cycle they form holds
+    an even number of vertices, so any arc of the pair gives its tail.
+    The matching covers every component, so a disconnected graph needs
+    no more."""
+    mate = _perfect_matching(n, adj)
+    if mate is None:
         return ZERO
-    if all(w == ONE for _, _, w in arcs):
-        pf = count
-    else:
-        mat = [{} for _ in range(n)]
-        for u, v, w in arcs:
-            mat[u][v] = mat[u][v] + w if v in mat[u] else w
-            mat[v][u] = mat[v][u] - w if u in mat[v] else -w
-        pf = _pfaffian_rows([{j: x for j, x in row.items() if x}
-                             for row in mat])
-    return pf if count.as_fraction() > 0 else -pf
+    order = []
+    mat = [{} for _ in range(n)]
+    for u, v, w in arcs:
+        if mate[u] == v:
+            mate[u] = mate[v] = -1  # each pair once
+            order += (u, v)
+        mat[u][v] = mat[u][v] + w if v in mat[u] else w
+        mat[v][u] = mat[v][u] - w if u in mat[v] else -w
+    pf = _pfaffian_rows([{j: x for j, x in row.items() if x} for row in mat])
+    return -pf if _odd_permutation(order) else pf
 
 
 def count_pm_fkt(g: PlanarGraph) -> Scalar:
     """Weighted perfect-matching count via Kasteleyn orientation and
     Pfaffian, exact over the scalar field.
 
-    One orientation pass covers every component, and one count covers
-    the whole graph, so an isolated vertex or an odd component gives zero.
+    One orientation pass covers every component, one blossom search
+    finds a perfect matching of the whole graph or proves there is none
+    (an isolated vertex or an odd component gives zero), and one
+    Pfaffian, signed by that matching, is the count.
     """
     return _count_and_orientation(g)[0]
 
 
 def _count_and_orientation(g: PlanarGraph):
     """count_pm_fkt(g) and the Kasteleyn orientation of g, None when g is
-    disconnected.  One orientation pass serves both; the component labels
-    tell whether g is connected."""
-    orient, label = _orient_components(g)
+    disconnected.  One orientation pass serves both: its component
+    labels tell whether g is connected, and its adjacency serves the
+    matching search."""
+    orient, label, adj = _orient_components(g)
     arcs = [(v, u, w) if o else (u, v, w)
             for (u, v, w), o in zip(g.edges, orient)]
-    return (_count_component(g.num_vertices, arcs),
+    return (_count_component(g.num_vertices, arcs, adj),
             None if any(label) else orient)
 
 

@@ -206,6 +206,10 @@ class Scalar:
             unit = _UNIT_INVERSES.get(self._n)
             if unit is not None:
                 return unit
+        n0, n1, n2, n3 = self._n
+        if not (n1 or n2 or n3):
+            # d/n0, canonical as gcd(n0, d) == 1
+            return _raw((self._d if n0 > 0 else -self._d, 0, 0, 0), abs(n0))
         # product of the other three Galois conjugates; self * w is the
         # rational field norm
         w = self.galois(3) * self.galois(5) * self.galois(7)

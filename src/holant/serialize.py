@@ -242,7 +242,28 @@ def graph_to_json(g: PlanarGraph) -> dict:
     }
 
 
+def _plain_edge(entry):
+    """(u, v, w) of an edge object with integer ends and a well-formed
+    weight, or None for parse_graph's checked path; builds no JSON path."""
+    if entry.__class__ is not dict:
+        return None
+    u, v, w = entry.get("u"), entry.get("v"), entry.get("w")
+    if u.__class__ is not int or v.__class__ is not int:
+        return None
+    if w.__class__ is int:
+        return u, v, Scalar.from_int(w)
+    if w.__class__ is str or w.__class__ is list:
+        try:
+            return u, v, parse_scalar(w)
+        except (ValueError, TypeError, ZeroDivisionError):
+            return None
+    return None
+
+
 def parse_graph(obj, path="graph") -> PlanarGraph:
+    """A PlanarGraph from JSON.  Plain edges and rotations are read
+    without building the JSON path of each field; anything else takes
+    the checked path, which names the offending field."""
     _expect(obj, dict, path, "a graph object")
     for key in ("vertices", "edges", "rotation"):
         if key not in obj:
@@ -251,21 +272,27 @@ def parse_graph(obj, path="graph") -> PlanarGraph:
     raw = _expect(obj["edges"], list, f"{path}.edges", "a list")
     edges = []
     for k, entry in enumerate(raw):
-        ep = f"{path}.edges[{k}]"
-        _expect(entry, dict, ep, "an edge object")
-        for key in ("u", "v", "w"):
-            if key not in entry:
-                raise SchemaError(ep, f"needs '{key}'")
-        edges.append((_expect_int(entry["u"], f"{ep}.u"),
-                      _expect_int(entry["v"], f"{ep}.v"),
-                      parse_scalar_field(entry["w"], f"{ep}.w")))
+        edge = _plain_edge(entry)
+        if edge is None:
+            ep = f"{path}.edges[{k}]"
+            _expect(entry, dict, ep, "an edge object")
+            for key in ("u", "v", "w"):
+                if key not in entry:
+                    raise SchemaError(ep, f"needs '{key}'")
+            edge = (_expect_int(entry["u"], f"{ep}.u"),
+                    _expect_int(entry["v"], f"{ep}.v"),
+                    parse_scalar_field(entry["w"], f"{ep}.w"))
+        edges.append(edge)
     rot_raw = _expect(obj["rotation"], list, f"{path}.rotation", "a list")
-    rotation = [
-        tuple(_expect_int(t, f"{path}.rotation[{k}][{j}]")
-              for j, t in enumerate(_expect(r, list, f"{path}.rotation[{k}]",
-                                            "a list")))
-        for k, r in enumerate(rot_raw)
-    ]
+    rotation = []
+    for k, r in enumerate(rot_raw):
+        if r.__class__ is list and all(t.__class__ is int for t in r):
+            rotation.append(tuple(r))
+            continue
+        rotation.append(tuple(
+            _expect_int(t, f"{path}.rotation[{k}][{j}]")
+            for j, t in enumerate(_expect(r, list, f"{path}.rotation[{k}]",
+                                          "a list"))))
     return PlanarGraph(n, edges, rotation)
 
 

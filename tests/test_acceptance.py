@@ -28,6 +28,7 @@ from _util import (
     realizable_signature,
     strip_by_transfer_matrix,
 )
+from holant import fkt
 from holant.cli import main
 from holant.classes import is_affine, is_hadamard_matchgate, is_matchgate, \
     is_product, parity_of
@@ -251,6 +252,21 @@ def test_fkt_scales_to_long_ladders_and_large_grids_in_any_numbering():
         counts = {count_pm_fkt(grid_graph(32, 32, numbering, rng))
                   for numbering in ("row", "col", "shuffled")}
         assert len(counts) == 1 and counts.pop().as_fraction() > 0
+
+
+def test_the_matching_search_settles_100x100_boards_quickly():
+    rng = random.Random(62)
+    board = grid_graph(100, 100, removed=((0, 0), (99, 99)))
+    grid = grid_graph(100, 100, "shuffled", rng)
+    with criterion("mutilated 100x100 board counts zero, shuffled 100x100 "
+                   "grid is matched", 2.0):
+        # no perfect matching, so no elimination
+        assert count_pm_fkt(board) == ZERO
+        mate = fkt._perfect_matching(grid.num_vertices,
+                                     fkt._orient_components(grid)[2])
+        edges = {frozenset((u, v)) for u, v, _ in grid.edges}
+        assert all(mate[m] == v and frozenset((v, m)) in edges
+                   for v, m in enumerate(mate))
 
 
 def test_matchgate_grid_evaluation_matches_brute_force():

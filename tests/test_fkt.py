@@ -397,7 +397,7 @@ def test_one_pass_orients_every_component_clockwise_odd():
     rng = random.Random(53)
     for _ in range(60):
         g = random_union(rng, set())
-        orient, label = fkt._orient_components(g)
+        orient, label, _ = fkt._orient_components(g)
         roots = component_roots(g.num_vertices,
                                 ((u, v) for u, v, _ in g.edges))
         assert len(set(label)) == len(set(roots))
@@ -448,6 +448,121 @@ def test_count_and_orientation_orients_once(monkeypatch):
     assert len(calls) == 1
     assert value == Scalar.from_int(fibonacci(301))
     assert orientation == orient_components(ladder)[0]
+
+
+# -- the perfect matching that signs the count -----------------------------------
+
+
+def _unit(g):
+    return PlanarGraph(g.num_vertices, [(u, v, ONE) for u, v, _ in g.edges],
+                       g.rotation)
+
+
+def test_perfect_matching_is_an_involution_on_edges_or_none():
+    rng = random.Random(57)
+    outcomes = set()
+    for t in range(300):
+        if t % 2:
+            g = random_union(rng, set())
+        else:
+            g = random_planar_graph(rng, max_vertices=14, extra_edges=8)
+        mate = fkt._perfect_matching(g.num_vertices, fkt._orient_components(g)[2])
+        outcomes.add(mate is None)
+        assert (mate is None) == (enumerate_pm(_unit(g)) == ZERO)
+        if mate is not None:
+            pairs = {frozenset((u, v)) for u, v, _ in g.edges}
+            for v, m in enumerate(mate):
+                assert m != v and mate[m] == v
+                assert frozenset((v, m)) in pairs
+    assert outcomes == {True, False}
+
+
+def _counting_eliminations(monkeypatch):
+    calls = []
+    rows = fkt._pfaffian_rows
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return rows(matrix)
+
+    monkeypatch.setattr(fkt, "_pfaffian_rows", counting)
+    return calls
+
+
+def test_a_weighted_count_makes_one_elimination(monkeypatch):
+    rng = random.Random(58)
+    calls = _counting_eliminations(monkeypatch)
+    weighted = [grid_graph(4, 5, weight=lambda: rand_nonzero_scalar(rng))]
+    while len(weighted) < 40:
+        g = random_planar_graph(rng, max_vertices=12, extra_edges=6,
+                                weight_pool=SMALL_POOL)
+        if enumerate_pm(_unit(g)):
+            weighted.append(g)
+    for g in weighted:
+        calls.clear()
+        assert count_pm_fkt(g) == enumerate_pm(g)
+        assert calls == [g.num_vertices]
+
+
+def test_no_elimination_without_a_perfect_matching(monkeypatch):
+    calls = _counting_eliminations(monkeypatch)
+    isolated = PlanarGraph(5, [(0, 1, 2), (1, 2, I), (2, 3, 1), (3, 0, 1)],
+                           [(3, 0), (0, 1), (1, 2), (2, 3), ()])
+    # a 4-cycle beside a weighted triangle
+    odd = PlanarGraph(7, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 0, 1),
+                          (4, 5, I), (5, 6, 3), (6, 4, 1)],
+                      [(3, 0), (0, 1), (1, 2), (2, 3), (6, 4), (4, 5),
+                       (5, 6)])
+    rng = random.Random(59)
+    board = mutilated_board(12, lambda: rand_nonzero_scalar(rng))
+    for g in (board, isolated, odd):
+        assert count_pm_fkt(g) == ZERO
+    assert calls == []
+
+
+def with_parallel_edges(g, rng, extra):
+    """g with up to `extra` more edges, each parallel to a random edge and
+    inserted at random corners of its ends, kept when the embedding stays
+    plane; some enclose part of the graph.  A copy has a random nonzero
+    weight or cancels the edge it copies."""
+    edges, rotation = list(g.edges), [list(r) for r in g.rotation]
+    for _ in range(extra):
+        u, v, w = rng.choice(edges)
+        copy = -w if rng.random() < 0.2 else rand_nonzero_scalar(rng)
+        trial = [list(r) for r in rotation]
+        trial[u].insert(rng.randrange(len(trial[u]) + 1), len(edges))
+        trial[v].insert(rng.randrange(len(trial[v]) + 1), len(edges))
+        try:
+            PlanarGraph(g.num_vertices, edges + [(u, v, copy)], trial)
+        except ValueError:
+            continue
+        edges.append((u, v, copy))
+        rotation = trial
+    return PlanarGraph(g.num_vertices, edges, rotation)
+
+
+def test_weighted_parallel_edges_match_enumeration():
+    rng = random.Random(60)
+    drawn = set()
+    for _ in range(200):
+        g = with_parallel_edges(
+            random_planar_graph(rng, max_vertices=10, extra_edges=4,
+                                weight_pool=SMALL_POOL), rng, 4)
+        # the arcs of each vertex pair that carries parallel edges
+        arcs = {}
+        for (u, v, _), o in zip(g.edges, kasteleyn_orient(g)):
+            arcs.setdefault(frozenset((u, v)), []).append((v, u) if o else (u, v))
+        for pair in arcs.values():
+            if len(pair) > 1:
+                drawn.add("a parallel pair oriented both ways"
+                          if len(set(pair)) == 2 else
+                          "a parallel pair oriented alike")
+        want = enumerate_pm(g)
+        if want:
+            drawn.add("a nonzero count")
+        assert count_pm_fkt(g) == want
+    assert drawn == {"a parallel pair oriented both ways",
+                     "a parallel pair oriented alike", "a nonzero count"}
 
 
 def test_fkt_matches_enumeration_unit_weights():

@@ -97,6 +97,17 @@ def test_inverse_examples():
     assert (ONE + I).inverse() == (ONE - I) / 2
 
 
+def test_rational_inverses_match_fractions():
+    rng = random.Random(61)
+    for _ in range(500):
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 30)),
+                     rng.randint(1, 10 ** rng.randint(1, 30)))
+        got = Scalar.from_fraction(q).inverse()
+        want = Scalar.from_fraction(1 / q)
+        assert got == want and repr(got) == repr(want)
+        assert got.as_fraction() == 1 / q
+
+
 def _inverse_by_norm(a):
     """The inverse from the three other Galois conjugates, table-free."""
     w = a.galois(3) * a.galois(5) * a.galois(7)

@@ -343,6 +343,58 @@ def test_graph_schema_errors():
     assert e.value.path == "graph.rotation[1][0]"
 
 
+@pytest.mark.parametrize("key, bad, path, message", [
+    ("edges", 5, "graph.edges[1]", "expected an edge object, got int"),
+    ("edges", {"v": 1, "w": 1}, "graph.edges[1]", "needs 'u'"),
+    ("edges", {"u": 0, "w": 1}, "graph.edges[1]", "needs 'v'"),
+    ("edges", {"u": 0, "v": 1}, "graph.edges[1]", "needs 'w'"),
+    ("edges", {"u": True, "v": 1, "w": 1}, "graph.edges[1].u",
+     "expected an integer, got True"),
+    ("edges", {"u": 0, "v": 1.0, "w": 1}, "graph.edges[1].v",
+     "expected an integer, got 1.0"),
+    ("edges", {"u": 0, "v": 1, "w": True}, "graph.edges[1].w",
+     "booleans are not scalars"),
+    ("edges", {"u": 0, "v": 1, "w": None}, "graph.edges[1].w",
+     "not a scalar encoding: None"),
+    ("edges", {"u": 0, "v": 1, "w": "1/0"}, "graph.edges[1].w",
+     "zero denominator in '1/0'"),
+    ("edges", {"u": 0, "v": 1, "w": "x"}, "graph.edges[1].w",
+     "not a rational literal: 'x'"),
+    ("edges", {"u": 0, "v": 1, "w": [1, 2]}, "graph.edges[1].w",
+     "not a scalar encoding: [1, 2]"),
+    ("edges", {"u": 0, "v": 1, "w": 1.5}, "graph.edges[1].w",
+     "not a scalar encoding: 1.5"),
+    ("edges", {"u": 0, "v": 1, "w": ["0", "1", "0", "x"]}, "graph.edges[1].w",
+     "not a rational literal: 'x'"),
+    ("rotation", "a", "graph.rotation[1]", "expected a list, got str"),
+    ("rotation", [1, False], "graph.rotation[1][1]",
+     "expected an integer, got False"),
+    ("rotation", [1, 0.0], "graph.rotation[1][1]",
+     "expected an integer, got 0.0"),
+])
+def test_graph_field_errors_name_their_path(key, bad, path, message):
+    # the bad field follows a plain edge and a plain rotation
+    doc = {"vertices": 2,
+           "edges": [{"u": 0, "v": 1, "w": 1}, {"u": 0, "v": 1, "w": 2}],
+           "rotation": [[0, 1], [1, 0]]}
+    doc[key][1] = bad
+    with pytest.raises(SchemaError) as e:
+        parse_graph(doc)
+    assert (e.value.path, e.value.message) == (path, message)
+
+
+def test_graph_weights_read_alike_in_every_spelling():
+    spellings = [3, "3", ["3", "0", "0", "0"], "i", ["0", "0", "1", "0"],
+                 "-1/2", ["-1/2", "0", "0", "0"]]
+    doc = {"vertices": 2,
+           "edges": [{"u": 0, "v": 1, "w": w} for w in spellings],
+           "rotation": [list(range(7)), list(range(6, -1, -1))]}
+    g = parse_graph(doc)
+    three, half = Scalar.from_int(3), Scalar.from_int(-1) / 2
+    assert [w for _, _, w in g.edges] == [three] * 3 + [I] * 2 + [half] * 2
+    assert g.rotation == (tuple(range(7)), tuple(range(6, -1, -1)))
+
+
 def test_graph_bad_embedding_is_a_domain_error():
     doc = {"vertices": 4,
            "edges": [{"u": 0, "v": 1, "w": 1}, {"u": 0, "v": 2, "w": 1},
