@@ -38,7 +38,7 @@ from .classes import (
     is_twisted_affine,
     is_twisted_hadamard_matchgate,
 )
-from .fkt import builtin_fragment, evaluate_matchgate_grid
+from .fkt import _stitched_value, builtin_fragment
 from .grids import CspInstance, SignatureGrid, brute_force_csp, \
     brute_force_holant, csp_to_grid, eval_affine_csp, eval_product_csp
 from .scalar import ONE
@@ -200,8 +200,9 @@ def _fkt_route(problem, once):
     constraint H2 g into (sqrt 2)^k g.  A grid is taken as it is.
     Through once, each distinct signature is rewritten and looked up once
     per evaluate call, the lookups in grid order up to the first vertex
-    without a realization.  Returns ((grid, fragments), None), or (None,
-    why the route does not apply).
+    without a realization.  Returns ((grid, fragments), None), every
+    fragment checked by builtin_fragment as it was built, so the route
+    stitches them with no check; or (None, why the route does not apply).
     """
     grid, where = problem, ""
     if isinstance(problem, CspInstance):
@@ -218,6 +219,8 @@ def _fkt_route(problem, once):
         frags.append(once(builtin_fragment, v.signature))
         if frags[-1] is None:
             return None, f"vertex {k}: no built-in realization{where}"
+    if grid.dangling:
+        return None, "grid has dangling edges; matchgate evaluation needs a closed grid"
     return (grid, frags), None
 
 
@@ -321,7 +324,7 @@ def _route(problem, mode, once):
     if mode in ("auto", "fkt"):
         route, why = _fkt_route(problem, once)
         if route is not None:
-            return "fkt", functools.partial(evaluate_matchgate_grid, *route)
+            return "fkt", functools.partial(_stitched_value, *route)
         if mode == "fkt":
             raise ValueError(why)
     return "brute", functools.partial(

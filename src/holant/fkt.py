@@ -29,7 +29,10 @@ evaluated by stitching the fragments into one planar graph, whose count
 times the fragments' scales is the value.
 
 builtin_fragment builds a realization from the support of a signature:
-a unit-weight shape, built once, with the signature's constant as scale.
+a unit-weight shape with the signature's constant as scale.  Each shape
+is built once and checked once, by its Pfaffian form: the matching
+counts at 1 + C(k, 2) stub patterns decide all 2^k entries, so no route
+enumerates a fragment's signature and no shape is too big to check.
 """
 
 from __future__ import annotations
@@ -39,12 +42,12 @@ import heapq
 from itertools import accumulate
 
 from ._embedding import is_planar_embedding, trace_faces
+from .classes import _pfaffian_form_violation
 from .scalar import ONE, ZERO, Scalar
 from .signatures import Signature, _coerce_scalar
 
-#: The matching enumeration refuses beyond this many vertices: the graph
-#: of enumerate_pm, the internal vertices of fragment_signature, and so
-#: the built-in fragments.
+#: enumerate_pm and fragment_signature refuse graphs of more vertices;
+#: no route of the planner calls either.
 ENUM_CAP = 20
 
 
@@ -579,12 +582,17 @@ def fragment_signature(frag: MatchgateFragment) -> Signature:
     if n > ENUM_CAP:
         raise ValueError(
             f"{n} internal vertices exceeds the fragment cap of {ENUM_CAP}")
+    return Signature(list(_stub_values(frag, range(1 << frag.arity))))
+
+
+def _stub_values(frag, patterns):
+    """The fragment's signature entries at the stub patterns, in order
+    (see fragment_signature), from one memo of matching counts."""
     k = frag.arity
-    adj = _adjacency(n, frag.edges)
+    adj = _adjacency(frag.num_vertices, frag.edges)
     memo = {}
-    full = (1 << n) - 1
-    values = []
-    for y in range(1 << k):
+    full = (1 << frag.num_vertices) - 1
+    for y in patterns:
         mask = full
         dead = False
         for j in range(k):
@@ -594,9 +602,7 @@ def fragment_signature(frag: MatchgateFragment) -> Signature:
                     dead = True
                     break
                 mask &= ~bit
-        values.append(ZERO if dead
-                      else frag.scale * _matching_sum(adj, mask, memo))
-    return Signature(values)
+        yield ZERO if dead else frag.scale * _matching_sum(adj, mask, memo)
 
 
 def evaluate_matchgate_grid(grid, realizations) -> Scalar:
@@ -604,11 +610,8 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
     realizations.
 
     The signature of each distinct realization is computed once and
-    compared with every vertex it serves; the fragments are stitched
-    along grid edges into one embedded graph (each grid edge joins two
-    stub attachment vertices with a unit edge), and the matching count
-    of the stitched graph times the scale of every vertex's realization
-    is the Holant value.
+    compared with every vertex it serves; then _stitched_value computes
+    the Holant value.
     """
     if grid.dangling:
         raise ValueError("grid has dangling edges; matchgate evaluation needs a closed grid")
@@ -628,7 +631,15 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
         if realized[frag] != vertex.signature:
             raise ValueError(
                 f"vertex {i}: realization does not produce its signature")
+    return _stitched_value(grid, realizations)
 
+
+def _stitched_value(grid, realizations) -> Scalar:
+    """The Holant value of the closed grid whose vertex i carries the
+    fragment realizations[i], taken on trust: the fragments are stitched
+    along grid edges into one embedded graph (each grid edge joins two
+    stub attachment vertices with a unit edge), and the matching count
+    of the stitched graph times every fragment's scale is the value."""
     # vertex v of fragment i becomes offsets[i] + v, and its internal
     # edge t (combined id t >= k_i) becomes edge bases[i] + t - k_i
     offsets = [0, *accumulate(frag.num_vertices for frag in realizations)]
@@ -671,7 +682,6 @@ def _load_library():
     perfbench/worker.py and perfbench/setup_probe.py, which call it."""
 
 
-@functools.cache
 def _all_zero_fragment(k: int) -> MatchgateFragment:
     """[y == 0...0]: the path x_1 - a_1 - ... - x_k - a_k, stub j at a_j.
     Its only perfect matching pairs each x_j with a_j, and removing any
@@ -686,7 +696,6 @@ def _all_zero_fragment(k: int) -> MatchgateFragment:
     return MatchgateFragment(2 * k, edges, rotation, tuple(range(1, 2 * k, 2)))
 
 
-@functools.cache
 def _all_one_fragment(k: int) -> MatchgateFragment:
     """[y == 1...1]: stubs at 0..k-1, each joined to a hub k with a
     pendant k + 1."""
@@ -696,12 +705,10 @@ def _all_one_fragment(k: int) -> MatchgateFragment:
     return MatchgateFragment(k + 2, edges, rotation, tuple(range(k)))
 
 
-@functools.cache
 def _exact_one_fragment(k: int) -> MatchgateFragment:
     return MatchgateFragment(1, [], [tuple(range(k))], (0,) * k)
 
 
-@functools.cache
 def _even_fragment(k: int) -> MatchgateFragment:
     """[y has even weight], k >= 3: a chain of k - 2 EVEN_3 blocks.
 
@@ -729,13 +736,13 @@ def _even_fragment(k: int) -> MatchgateFragment:
 def builtin_fragment(f: Signature):
     """A realization of f built from the shape of f alone, or None.
 
-    [a,0,0,b] with a, b nonzero is one edge of weight a/b with scale b.
-    Any other f must take one value c on its whole support, which picks
-    a unit-weight shape: weight one (1 vertex), {0...0} (a path, 2k),
-    {1...1} (a hub, k + 2) or, from arity 3, even weight (a chain,
-    4k - 8).  The realization is that shape, built and checked once, and
-    the nonzero c as its scale.  None when the shape exceeds ENUM_CAP
-    vertices, so evaluate_matchgate_grid can verify it.
+    [a,0,0,b] with a, b nonzero is one edge of weight a/b with scale b,
+    checked as it is built.  Any other f must take one value c on its
+    whole support, which picks a unit-weight shape: weight one (1
+    vertex), {0...0} (a path, 2k), {1...1} (a hub, k + 2) or, from arity
+    3, even weight (a chain, 4k - 8).  The realization is that shape,
+    built and checked once per process, and the nonzero c as its scale.
+    A shape that fails its check raises ValueError.
     """
     if f.is_zero:
         return None
@@ -743,25 +750,50 @@ def builtin_fragment(f: Signature):
     support = f.support()
     full = (1 << n) - 1
     if n == 2 and support == {0, full}:
-        return MatchgateFragment(2, [(0, 1, f[0] / f[full])],
-                                 [(0, 2), (2, 1)], (0, 1), f[full])
+        return _checked(MatchgateFragment(2, [(0, 1, f[0] / f[full])],
+                                          [(0, 2), (2, 1)], (0, 1), f[full]),
+                        f, "[a,0,0,b] edge")
     scale = f[min(support)]
     if any(f[y] != scale for y in support):
         return None
     if support == {1 << j for j in range(n)}:
-        shape = _exact_one_fragment(n)
+        build = _exact_one_fragment
     elif support == {0}:
-        shape = _all_zero_fragment(n)
+        build = _all_zero_fragment
     elif support == {full}:
-        shape = _all_one_fragment(n)
+        build = _all_one_fragment
     elif n >= 3 and len(support) == 1 << (n - 1) and \
             all(y.bit_count() % 2 == 0 for y in support):
-        shape = _even_fragment(n)
+        build = _even_fragment
     else:
         return None
-    if shape.num_vertices > ENUM_CAP:
-        return None
+    shape = _unit_shape(build, n, support)
     frag = object.__new__(MatchgateFragment)  # the checked shape, rescaled
     frag.num_vertices, frag.edges, frag.rotation, frag.dangling, frag.scale = \
         shape.num_vertices, shape.edges, shape.rotation, shape.dangling, scale
+    return frag
+
+
+@functools.cache
+def _unit_shape(build, n, support):
+    """build(n), checked against the signature that is 1 on support."""
+    f = Signature([ONE if y in support else ZERO for y in range(1 << n)])
+    return _checked(build(n), f, build.__name__)
+
+
+def _checked(frag, f, name):
+    """frag if it realizes the nonzero f, else ValueError.  The fragment
+    is planar with its stubs in order on one face, so its signature is a
+    matchgate's, and two matchgate signatures that agree at a support
+    point b and at every b ^ e_i ^ e_j agree everywhere (the Pfaffian
+    form; Valiant 2008, Cai and Gorenstein 2014).  So f must have that
+    form at its least support point b, and frag must match f at those
+    1 + C(k, 2) points."""
+    b = min(f.support())
+    k = f.arity
+    points = [b, *(b ^ (1 << i) ^ (1 << j) for i in range(k) for j in range(i))]
+    if _pfaffian_form_violation(f, b) is not None or any(
+            got != f[y] for y, got in zip(points, _stub_values(frag, points))):
+        raise ValueError(
+            f"built-in {name} of arity {k} does not realize its signature")
     return frag

@@ -282,24 +282,14 @@ def csp_to_grid(instance: CspInstance) -> SignatureGrid:
             edge_of[(ci, j)] = e
             occurrences[v].append(e)
 
-    vertices = []
-    sides = []
-    for v in range(instance.num_vars):
-        if occurrences[v]:
-            vertices.append((equality(len(occurrences[v])),
-                             tuple(occurrences[v])))
-            sides.append("left")
+    vertices = [(equality(len(occ)), tuple(occ)) for occ in occurrences if occ]
     for ci, (sig, on) in enumerate(instance.constraints):
         vertices.append((sig, tuple(edge_of[(ci, j)] for j in range(len(on)))))
-        sides.append("right")
     for v in range(instance.num_vars):
         if not occurrences[v]:
             e = next(counter)
-            vertices.append((equality(1), (e,)))
-            sides.append("left")
-            vertices.append((equality(1), (e,)))
-            sides.append("right")
-    return SignatureGrid(vertices, sides=sides)
+            vertices += [(equality(1), (e,))] * 2
+    return SignatureGrid(vertices)
 
 
 # -- product-family evaluator ---------------------------------------------------

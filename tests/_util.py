@@ -330,9 +330,7 @@ def random_planar_graph(rng, max_vertices=10, extra_edges=4,
 
 def realizable_signature(rng, arity):
     """A signature builtin_fragment realizes: a nonzero constant on one of
-    its shapes (all-zero, all-one, exact-one, even weight) or [w,0,0,v].
-    At arity 8 the even-weight shape exceeds ENUM_CAP, so arity stays
-    within 1..7."""
+    its shapes (all-zero, all-one, exact-one, even weight) or [w,0,0,v]."""
     w = rand_nonzero_scalar(rng)
     kinds = ["zero-pin", "one-pin", "exact-one", "even"]
     if arity == 2:

@@ -1,3 +1,5 @@
+import functools
+import json
 import random
 
 import pytest
@@ -13,7 +15,7 @@ from _util import (
     realizable_signature,
 )
 from holant.classes import is_affine, parity_of
-from holant import dichotomy, fkt, grids, transforms
+from holant import cli, dichotomy, fkt, grids, transforms
 from holant._embedding import component_roots
 from holant.dichotomy import (
     DichotomyVerdict,
@@ -311,27 +313,72 @@ def test_split_csp_rewrites_and_realizes_each_distinct_signature_once(
     assert len(lookups) == len(set(lookups)) == 2
 
 
+def _count_checks(monkeypatch):
+    """The name of each fragment fkt._checked checks, in order."""
+    checks, real = [], fkt._checked
+
+    def check(frag, f, name):
+        checks.append(name)
+        return real(frag, f, name)
+
+    monkeypatch.setattr(fkt, "_checked", check)
+    return checks
+
+
 def test_fkt_route_looks_up_and_checks_each_distinct_signature_once(
         monkeypatch):
-    lookups, checks = [], []
-    real_lookup, real_check = dichotomy.builtin_fragment, fkt.fragment_signature
+    lookups, enumerated, real_lookup = [], [], dichotomy.builtin_fragment
 
     def lookup(f):
         lookups.append(f)
         return real_lookup(f)
 
-    def check(frag):
-        checks.append(frag)
-        return real_check(frag)
-
     monkeypatch.setattr(dichotomy, "builtin_fragment", lookup)
-    monkeypatch.setattr(fkt, "fragment_signature", check)
+    monkeypatch.setattr(fkt, "fragment_signature", enumerated.append)
+    checks = _count_checks(monkeypatch)
     n = 40
     grid = SignatureGrid([(equality(2), (k, (k + 1) % n)) for k in range(n)])
     # a cycle of equalities: all edges 0 or all edges 1
     assert evaluate(grid) == ("fkt", Scalar.from_int(2))
     assert len(lookups) == 1
-    assert len(checks) == 1
+    # =_2 is the [a,0,0,b] edge, checked as it is built; the route
+    # stitches it without enumerating its signature
+    assert checks == ["[a,0,0,b] edge"]
+    assert enumerated == []
+
+
+def test_each_unit_shape_is_checked_once_per_process(monkeypatch):
+    checks = _count_checks(monkeypatch)
+    # an empty cache, as in a fresh process
+    monkeypatch.setattr(fkt, "_unit_shape",
+                        functools.cache(fkt._unit_shape.__wrapped__))
+    star = _planar_only_star(9)
+    for _ in range(2):
+        assert evaluate(star) == ("fkt", Scalar.from_int(1 << 10))
+    # the centre's H =_9 is the even chain and each leaf's H =_1 the
+    # all-zero pin, once per process; every constraint is one [a,0,0,b]
+    # edge, once per evaluate call
+    assert sorted(checks) == ["[a,0,0,b] edge"] * 2 + [
+        "_all_zero_fragment", "_even_fragment"]
+
+
+def test_a_shape_that_fails_its_check_is_a_domain_error(
+        monkeypatch, tmp_path, capsys):
+    def _even_fragment(k):  # the wrong shape, under the right name
+        return fkt._all_zero_fragment(k)
+
+    monkeypatch.setattr(fkt, "_even_fragment", _even_fragment)
+    with pytest.raises(ValueError,
+                       match="^built-in _even_fragment of arity 5 "):
+        builtin_fragment(Signature([1 - y.bit_count() % 2
+                                    for y in range(32)]))
+    doc = tmp_path / "star.json"
+    doc.write_text(json.dumps({"vars": 6, "constraints": [
+        {"sig": [3, -1, -1, 3], "on": [0, v]} for v in range(1, 6)]}))
+    assert cli.main(["eval", str(doc)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["kind"] == "domain"
+    assert "_even_fragment" in out["error"]["message"]
 
 
 def test_fkt_route_rewrites_each_distinct_signature_once(monkeypatch):
@@ -431,16 +478,14 @@ def _all_zero_pair(k):
                           (f, tuple(range(k - 1, -1, -1)))])
 
 
-def test_auto_falls_back_when_a_builtin_fragment_exceeds_the_cap():
-    # the all-zero path of arity 11 has 22 vertices, over ENUM_CAP
-    grid = _all_zero_pair(11)
-    assert evaluate(grid, "auto") == ("brute", Scalar.from_int(1))
-    with pytest.raises(ValueError, match="^vertex 0: no built-in realization$"):
-        evaluate(grid, "fkt")
-    # at arity 10 the path has 20 vertices and is realized
-    grid = _all_zero_pair(10)
-    assert evaluate(grid, "auto") == ("fkt", brute_force_holant(grid))
-    assert brute_force_holant(grid) == Scalar.from_int(1)
+def test_an_all_zero_pair_of_any_arity_takes_the_fkt_route():
+    # the all-zero path of arity k has 2k vertices; with no size rule it
+    # is realized up to ARITY_CAP, past the old ENUM_CAP of 20 vertices
+    for k in (10, 11, 16):
+        grid = _all_zero_pair(k)
+        assert evaluate(grid, "auto") == ("fkt", Scalar.from_int(1))
+        assert evaluate(grid, "fkt") == ("fkt", Scalar.from_int(1))
+    assert brute_force_holant(_all_zero_pair(11)) == Scalar.from_int(1)
 
 
 def _planar_only_star(degree):
@@ -450,12 +495,14 @@ def _planar_only_star(degree):
 
 
 def test_a_degree_7_variable_takes_the_fkt_route():
-    # the centre's H =_7 is (sqrt 2)^-5 [y even]: the 20-vertex chain;
-    # H =_8 would need a chain of 24 vertices, over ENUM_CAP
-    for degree, mode, value in ((7, "fkt", 256), (8, "brute", 512)):
+    # the centre's H =_k is (sqrt 2)^(2-k) [y even]: the chain of 4k - 8
+    # vertices, realized at every degree up to ARITY_CAP
+    for degree in (7, 8, 12, 16):
         star = _planar_only_star(degree)
-        assert brute_force_csp(star) == Scalar.from_int(value)
-        assert evaluate(star) == (mode, Scalar.from_int(value))
+        value = Scalar.from_int(1 << (degree + 1))
+        if degree <= 12:
+            assert brute_force_csp(star) == value
+        assert evaluate(star) == ("fkt", value)
 
 
 # -- planning per connected component ------------------------------------------------

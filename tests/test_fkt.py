@@ -814,18 +814,20 @@ def test_builtin_exact_one_family():
 
 
 def test_builtin_hadamard_equalities():
-    for k in range(1, 8):
+    # H2 =_k is 2 [y even]: every unit shape with scale 2, up to ARITY_CAP
+    for k in range(1, 17):
         f = apply_matrix(equality(k), H2)
         frag = builtin_fragment(f)
-        assert frag is not None
-        assert fragment_signature(frag) == f
-    # H2 =_7 is 2 [y even]: the unit chain of 20 vertices with scale 2
+        assert frag is not None and frag.scale == Scalar.from_int(2)
+        if k >= 3:
+            assert frag.num_vertices == 4 * k - 8
+        if frag.num_vertices <= fkt.ENUM_CAP:
+            assert fragment_signature(frag) == f
+    # the even chains past the cap have their entries checked by one
+    # count_pm_fkt each in test_builtin_family_sweep_follows_the_size_rule
     even7 = Signature([1 - y.bit_count() % 2 for y in range(128)])
     assert apply_matrix(equality(7), H2) == Scalar.from_int(2) * even7
-    frag = builtin_fragment(apply_matrix(equality(7), H2))
-    assert frag.num_vertices == 20 and frag.scale == Scalar.from_int(2)
-    # H2 =_8 would need a chain of 24 vertices, over ENUM_CAP
-    assert builtin_fragment(apply_matrix(equality(8), H2)) is None
+    assert builtin_fragment(apply_matrix(equality(8), H2)).num_vertices == 24
 
 
 def test_a_scaled_builtin_reuses_the_checked_shape(monkeypatch):
@@ -842,6 +844,14 @@ def test_a_scaled_builtin_reuses_the_checked_shape(monkeypatch):
     assert checks == []
     assert frag.scale == Scalar.from_int(2) and frag.edges is unit.edges
     assert fragment_signature(frag) == f
+
+
+def test_the_check_rejects_a_wrong_shape():
+    all_zero = Signature([1] + [0] * ((1 << 12) - 1))
+    with pytest.raises(ValueError, match="^built-in hub of arity 12 "):
+        fkt._checked(fkt._all_one_fragment(12), all_zero, "hub")
+    assert fkt._checked(fkt._all_zero_fragment(12), all_zero, "path") \
+        is not None
 
 
 def test_builtin_gap_signatures():
@@ -885,26 +895,71 @@ def _arities(family):
     return range({"all-one": 2, "even": 3}.get(family, 1), 17)
 
 
+def _entries_by_fkt(frag, points):
+    """The fragment's signature entries at points, by one count_pm_fkt
+    each: on the internal graph minus the vertices of the stubs that
+    the point forces.  A point that forces one vertex twice, or leaves
+    an odd number of vertices, has entry ZERO."""
+    g = frag.internal_graph()
+    k = frag.arity
+    out = []
+    for y in points:
+        forced = {frag.dangling[j] for j in range(k) if (y >> (k - 1 - j)) & 1}
+        if len(forced) < y.bit_count() or (g.num_vertices - len(forced)) % 2:
+            out.append(ZERO)
+            continue
+        index = {}
+        for v in range(g.num_vertices):
+            if v not in forced:
+                index[v] = len(index)
+        kept = {}
+        for e, (u, v, _) in enumerate(g.edges):
+            if u in index and v in index:
+                kept[e] = len(kept)
+        sub = PlanarGraph(len(index),
+                          [(index[g.edges[e][0]], index[g.edges[e][1]],
+                            g.edges[e][2]) for e in kept],
+                          [[kept[e] for e in g.rotation[v] if e in kept]
+                           for v in index])
+        out.append(frag.scale * count_pm_fkt(sub))
+    return out
+
+
+def test_entries_by_fkt_agree_with_fragment_signature():
+    rng = random.Random(61)
+    for _ in range(30):
+        frag = random_fragment(rng)
+        points = range(1 << frag.arity)
+        assert _entries_by_fkt(frag, points) == \
+            list(fragment_signature(frag).values)
+
+
 @pytest.mark.parametrize("family", sorted(_SHAPES))
 def test_builtin_family_sweep_follows_the_size_rule(family):
     support_of, unit_size, _ = _SHAPES[family]
+    rng = random.Random(f"sweep:{family}")
     for k in _arities(family):
         for w in SMALL_POOL[1:]:
             f = Signature([w if support_of(k, y) else ZERO
                            for y in range(1 << k)])
             frag = builtin_fragment(f)
-            if unit_size(k) > fkt.ENUM_CAP:
-                assert frag is None, (family, k, w)
-                continue
             # the unit shape, whatever the weight, which is the scale
             assert frag.num_vertices == unit_size(k), (family, k, w)
             assert all(x == ONE for _, _, x in frag.edges)
             assert frag.scale == w
-            # fragment_signature enumerates 2^k stub patterns, so past
-            # arity 12 one weight per arity is checked, a different one
-            # each time (1/2 at 13, ONE at 14, -1 at 15, I at 16)
-            if k <= 12 or w == SMALL_POOL[1 + k % 7]:
+            if k < 8:
                 assert fragment_signature(frag) == f, (family, k, w)
+                continue
+            # from arity 8 an oracle that shares no code with the check
+            # in builtin_fragment: one count_pm_fkt per entry, for one
+            # weight per arity (-1 at 8, I at 9, ..., 1/2 at 13), at
+            # every entry up to arity 12 and at 64 seeded ones above
+            if w != SMALL_POOL[1 + k % 7]:
+                continue
+            points = range(1 << k) if k <= 12 else \
+                rng.sample(range(1 << k), 64)
+            assert _entries_by_fkt(frag, points) == [f[y] for y in points], \
+                (family, k)
 
 
 def test_builtin_gap_sweep():
@@ -920,12 +975,14 @@ def test_builtin_gap_sweep():
 
 @pytest.mark.parametrize("family", sorted(_SHAPES))
 def test_unit_shapes_have_unit_weights_and_pinned_sizes(family):
-    _, unit_size, build = _SHAPES[family]
+    support_of, unit_size, build = _SHAPES[family]
     for k in _arities(family):
         shape = build(k)
         assert shape.num_vertices == unit_size(k)
         assert all(w == ONE for _, _, w in shape.edges)
-        assert build(k) is shape
+        support = frozenset(y for y in range(1 << k) if support_of(k, y))
+        assert fkt._unit_shape(build, k, support) is \
+            fkt._unit_shape(build, k, support)
 
 
 # -- grid evaluation -------------------------------------------------------------

@@ -210,7 +210,8 @@ def test_gate_of_closed_grid_is_arity_zero():
 def test_csp_grid_structure():
     inst = CspInstance(2, ((equality(2), (0, 1)),))
     g = csp_to_grid(inst)
-    assert g.sides is not None
+    # no side labels: the planner rewrites every vertex alike
+    assert g.sides is None
     assert not g.dangling
     assert brute_force_holant(g) == brute_force_csp(inst)
 
