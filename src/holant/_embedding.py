@@ -10,8 +10,9 @@ components the Euler check runs on, a #CSP outside the product and
 affine families into its constraint graph's components, which the
 planner plans one by one, and the literal nodes of a product-family
 #CSP (two per variable, one per value) into the mirror classes its
-evaluator sums over.  FKT counting does not call it: the BFS forest of
-its one orientation pass names the components.
+evaluator sums over.  FKT counting does not call it: the PlanarGraph
+constructor's BFS forest names the components, for its Euler check and
+for the orientation.
 """
 
 from __future__ import annotations
@@ -64,15 +65,13 @@ def component_roots(n, pairs) -> list:
     return [find(v) for v in range(n)]
 
 
-def is_planar_embedding(rotations, faces=None) -> bool:
+def is_planar_embedding(rotations) -> bool:
     """Does V - E + F = 2 hold on every connected component?
 
     Components with no edges are trivially planar.  Raises on a malformed
-    rotation system (duplicate or unmatched darts).  `faces` is
-    trace_faces(rotations) when the caller already has it.
+    rotation system (duplicate or unmatched darts).
     """
-    if faces is None:
-        faces = trace_faces(rotations)
+    faces = trace_faces(rotations)
     vertex_of = {}
     for v, rot in enumerate(rotations):
         for d in rot:

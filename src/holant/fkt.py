@@ -7,15 +7,19 @@ matrix with one common sign.  Everything stays in the exact scalar field,
 so the usual absolute-value trick for that sign is unavailable.  Instead
 the sign is read off one perfect matching, found by Edmonds' blossom
 search (Edmonds 1965): its term in the Pfaffian has the common sign, and
-a graph without one counts zero with no elimination at all.  One pass
-over the faces the PlanarGraph constructor traced orients every connected
-component, and the whole graph is counted at once by one Pfaffian.
+a graph without one counts zero with no elimination at all.  The
+PlanarGraph constructor walks the graph once: it traces the faces and
+builds one BFS forest, whose component labels serve its Euler check and
+whose tree the orientation reuses.  One pass over those faces orients
+every connected component, and the whole graph is counted at once by one
+Pfaffian.
 
 That Pfaffian comes from a sparse kernel: rows are dicts of nonzero
-entries, and a skew elimination pivots on a vertex of minimum degree and
-its neighbour of minimum degree, so an update touches only the nonzeros
-around the pivot and the fill of a planar matrix stays small whatever
-the vertex numbering (Galbiati and Maffioli 1994; Lipton, Rose and
+entries that store each skew pair once, under both of its indices, and a
+skew elimination pivots on a vertex of minimum degree and its neighbour
+of minimum degree, so an update touches only the nonzeros around the
+pivot and the fill of a planar matrix stays small whatever the vertex
+numbering (Galbiati and Maffioli 1994; Lipton, Rose and
 Tarjan 1979).  Permuting vertices multiplies the Pfaffian and the
 matching's term by the same sign, so the count does not depend on the
 pivot order or on the numbering.
@@ -41,7 +45,7 @@ import functools
 import heapq
 from itertools import accumulate
 
-from ._embedding import is_planar_embedding, trace_faces
+from ._embedding import trace_faces
 from .classes import _pfaffian_form_violation
 from .scalar import ONE, ZERO, Scalar
 from .signatures import Signature, _coerce_scalar
@@ -57,12 +61,16 @@ class PlanarGraph:
     `edges[e] = (u, v, w)` with u != v and w a nonzero scalar; parallel
     edges are allowed.  `rotation[v]` lists incident edge indices in
     counterclockwise order; each edge index appears exactly once at each
-    endpoint.  The constructor runs the Euler check on every connected
-    component, so a constructed graph always carries a plane embedding,
-    and it keeps the faces it traced for that check.
+    endpoint.  The constructor traces the faces, builds the adjacency
+    (see _adjacency) and one BFS forest, and runs the Euler check on every
+    connected component that the forest labels, so a constructed graph
+    always carries a plane embedding.  It keeps the faces, the adjacency,
+    the component label of each vertex and the tree flag of each edge,
+    which the orientation and the matching search reuse.
     """
 
-    __slots__ = ("num_vertices", "edges", "rotation", "_faces")
+    __slots__ = ("num_vertices", "edges", "rotation", "_faces", "_adj",
+                 "_label", "_tree")
 
     def __init__(self, num_vertices, edges, rotation):
         n = int(num_vertices)
@@ -84,30 +92,31 @@ class PlanarGraph:
         rot = tuple(tuple(r) for r in rotation)
         if len(rot) != n:
             raise ValueError("one rotation per vertex required")
-        seen = [0] * len(es)
+        m = len(es)
+        seen = [0] * m
         for v, r in enumerate(rot):
             for e in r:
-                if not 0 <= e < len(es):
+                if not 0 <= e < m:
                     raise ValueError(f"rotation of vertex {v} names a missing edge {e}")
-                if v not in self.edges[e][:2]:
+                a, b, _ = es[e]
+                if v != a and v != b:
                     raise ValueError(f"edge {e} does not touch vertex {v}")
                 seen[e] += 1
         if any(c != 2 for c in seen):
             bad = seen.index(next(c for c in seen if c != 2))
             raise ValueError(f"edge {bad} must appear exactly once at each endpoint")
         self.rotation = rot
-        darts = self._dart_rotations()
-        self._faces = trace_faces(darts)
-        if not is_planar_embedding(darts, self._faces):
+        self._faces = trace_faces(self._dart_rotations())
+        self._adj = _adjacency(n, es)
+        self._label, self._tree = _bfs_forest(self._adj, m)
+        if not _euler_holds(self):
             raise ValueError("rotation system is not a plane embedding")
 
     def _dart_rotations(self):
         # edge e has darts 2e (u side) and 2e+1 (v side)
-        out = []
-        for v, r in enumerate(self.rotation):
-            out.append(tuple(2 * e if v == self.edges[e][0] else 2 * e + 1
-                             for e in r))
-        return out
+        edges = self.edges
+        return [tuple([2 * e + (v != edges[e][0]) for e in r])
+                for v, r in enumerate(self.rotation)]
 
     def __repr__(self):
         return (f"PlanarGraph({self.num_vertices} vertices, "
@@ -121,6 +130,45 @@ def _adjacency(n, edges):
         adj[u].append((v, w, e))
         adj[v].append((u, w, e))
     return adj
+
+
+def _bfs_forest(adj, m):
+    """The component label of each vertex and the tree flag of each of
+    the m edges, from a BFS over adj restarted at each unseen vertex; the
+    components are labelled 0, 1, ... in order of their least vertex."""
+    label = [-1] * len(adj)
+    tree = [False] * m
+    components = 0
+    for s in range(len(adj)):
+        if label[s] >= 0:
+            continue
+        label[s] = components
+        queue = [s]
+        for u in queue:
+            for v, _, e in adj[u]:
+                if label[v] < 0:
+                    label[v] = components
+                    tree[e] = True
+                    queue.append(v)
+        components += 1
+    return label, tree
+
+
+def _euler_holds(g) -> bool:
+    """Does V - E + F = 2 hold on every component of g, by its labels?
+    An isolated vertex has no traced face, so it counts for two: a
+    vertex and its one face."""
+    label = g._label
+    edges = g.edges
+    euler = [0] * (max(label, default=-1) + 1)
+    for v, r in enumerate(g.rotation):
+        euler[label[v]] += 1 if r else 2
+    for u, _, _ in edges:
+        euler[label[u]] -= 1
+    for face in g._faces:
+        d = face[0]
+        euler[label[edges[d >> 1][d & 1]]] += 1
+    return all(x == 2 for x in euler)
 
 
 def _matching_sum(adj, mask, memo):
@@ -154,78 +202,58 @@ def enumerate_pm(g: PlanarGraph) -> Scalar:
     return _matching_sum(_adjacency(n, g.edges), (1 << n) - 1, {})
 
 
-def _orient_components(g: PlanarGraph):
-    """kasteleyn_orient on every component of g at once, the component
-    label of each vertex, and the adjacency of g (see _adjacency), which
-    the BFS walks and count_pm_fkt reuses.  A BFS forest, restarted at each
-    unseen vertex, labels the components 0, 1, ...; the other edges form
-    the dual forest, rooted at each component's first traced face.
-    Leaves first, each other face orients its parent edge to become
-    clockwise-odd."""
-    n = g.num_vertices
-    m = len(g.edges)
-    adj = _adjacency(n, g.edges)
-    label = [-1] * n
-    tree = [False] * m
-    components = 0
-    for s in range(n):
-        if label[s] >= 0:
-            continue
-        label[s] = components
-        queue = [s]
-        for u in queue:
-            for v, _, e in adj[u]:
-                if label[v] < 0:
-                    label[v] = components
-                    tree[e] = True
-                    queue.append(v)
-        components += 1
-
-    faces = g._faces
-    face_of = {}
+def _orient_components(g: PlanarGraph) -> tuple:
+    """kasteleyn_orient on every component of g at once.  The edges off
+    the constructor's BFS forest form the dual forest, rooted at each
+    component's first traced face.  Leaves first, each other face orients
+    its parent edge to become clockwise-odd."""
+    edges, label, faces = g.edges, g._label, g._faces
+    face_of = [0] * (2 * len(edges))
     first = {}
     for fi, face in enumerate(faces):
         for d in face:
             face_of[d] = fi
         d = face[0]
-        first.setdefault(label[g.edges[d >> 1][d & 1]], fi)
+        first.setdefault(label[edges[d >> 1][d & 1]], fi)
 
-    orient = [0] * m
-    fixed = list(tree)
+    orient = [0] * len(edges)
+    fixed = list(g._tree)
 
     dual = [[] for _ in faces]
-    for e in range(m):
-        if not tree[e]:
+    for e, in_tree in enumerate(fixed):
+        if not in_tree:
             f1, f2 = face_of[2 * e], face_of[2 * e + 1]
             dual[f1].append((f2, e))
             dual[f2].append((f1, e))
-    # a root has no parent edge
-    parent_edge = dict.fromkeys(first.values())
-    order = list(parent_edge)
+    # parent[f] is the edge to f's parent face, -1 at a root
+    parent = [None] * len(faces)
+    order = list(first.values())
+    for f in order:
+        parent[f] = -1
     for f in order:
         for nf, e in dual[f]:
-            if nf not in parent_edge:
-                parent_edge[nf] = e
+            if parent[nf] is None:
+                parent[nf] = e
                 order.append(nf)
 
-    def clockwise(d):
-        e = d >> 1
-        return 2 * e + orient[e] == d ^ 1
-
-    for f, e in reversed(parent_edge.items()):
-        if e is None:
+    # dart d runs clockwise around its face when orient[d >> 1] != d & 1
+    for f in reversed(order):
+        e = parent[f]
+        if e < 0:
             continue
-        count = sum(1 for d in faces[f] if fixed[d >> 1] and clockwise(d))
+        count = sum(1 for d in faces[f]
+                    if fixed[d >> 1] and orient[d >> 1] != d & 1)
         d = 2 * e if face_of[2 * e] == f else 2 * e + 1
         orient[e] = (d ^ 1) & 1 if count % 2 == 0 else d & 1
         fixed[e] = True
 
     if not all(fixed):
         raise ValueError("embedding left an edge unoriented; dual structure broken")
-    for f, e in parent_edge.items():
-        if e is not None and sum(1 for d in faces[f] if clockwise(d)) % 2 == 0:
+    for f in order:
+        if parent[f] >= 0 and sum(
+                1 for d in faces[f] if orient[d >> 1] != d & 1) % 2 == 0:
             raise ValueError("clockwise-odd postcondition failed")
-    return tuple(orient), label, adj
+    return tuple(orient)
 
 
 def kasteleyn_orient(g: PlanarGraph) -> tuple:
@@ -238,10 +266,9 @@ def kasteleyn_orient(g: PlanarGraph) -> tuple:
     Requires a connected graph; the property is re-checked before
     returning.  count_pm_fkt orients every component in the same pass.
     """
-    orient, label, _ = _orient_components(g)
-    if any(label):
+    if any(g._label):
         raise ValueError("kasteleyn_orient needs a connected graph")
-    return orient
+    return _orient_components(g)
 
 
 def pfaffian(matrix) -> Scalar:
@@ -257,32 +284,38 @@ def pfaffian(matrix) -> Scalar:
     for row in a:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    return _pfaffian_rows([{j: x for j, x in enumerate(row) if x}
-                           for row in a])
+    rows = [{} for _ in range(n)]
+    for i, row in enumerate(a):
+        for j in range(i, n):
+            x = row[j]
+            if x + a[j][i]:
+                raise ValueError(
+                    "matrix is not skew-symmetric at (%d, %d)" % (i, j))
+            if x:
+                rows[i][j] = rows[j][i] = x
+    return _pfaffian_rows(rows)
 
 
 def _pfaffian_rows(rows) -> Scalar:
-    """Exact Pfaffian of the skew matrix with A[i][j] = rows[i][j], where
-    each dict holds only nonzero entries.  The rows are consumed.
+    """Exact Pfaffian of the skew matrix A stored half: for each nonzero
+    pair, rows[i][j] and rows[j][i] hold one value S, and A[i][j] = S
+    when i < j, else -S.  Zero entries are absent.  The rows are
+    consumed.
 
     Each step pivots on a live vertex p of least degree and its neighbour
     q of least degree (ties to the lower index), multiplies the result by
     A[p][q], and replaces the rest by its skew Schur complement, which
     changes only the entries among the neighbours of p and q:
-    A[i][j] += (A[q][i] A[p][j] - A[p][i] A[q][j]) / A[p][q].  Entries
-    that cancel are dropped, so a live vertex with an empty row means a
-    zero Pfaffian.  The Pfaffian is the product of the pivots times the
-    sign of the elimination order.  Minimum degree keeps the fill of
-    planar matrices small (Lipton, Rose and Tarjan 1979).
+    A[i][j] += (A[q][i] A[p][j] - A[p][i] A[q][j]) / A[p][q].  Signs are
+    fixed on the two pivot rows alone; the update runs over the
+    neighbours in increasing order, so it adds to A[i][j] with i < j,
+    which is the stored value itself.  Entries that cancel are dropped,
+    so a live vertex with an empty row means a zero Pfaffian.  The
+    Pfaffian is the product of the pivots times the sign of the
+    elimination order.  Minimum degree keeps the fill of planar matrices
+    small (Lipton, Rose and Tarjan 1979).
     """
     n = len(rows)
-    # every stored entry needs a stored mirror; the values of a pair are
-    # compared once, from the row of its lower index
-    bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
-           for j, x in row.items()
-           if i == j or i not in rows[j] or (i < j and x != -rows[j][i])]
-    if bad:
-        raise ValueError("matrix is not skew-symmetric at (%d, %d)" % min(bad))
     if n % 2:
         return ZERO
     heap = [(len(row), i) for i, row in enumerate(rows)]
@@ -307,11 +340,15 @@ def _pfaffian_rows(rows) -> Scalar:
             del rows[j][q]
         live[p] = live[q] = False
         order += (p, q)
+        if p > q:
+            pivot = -pivot
         result = result * pivot
         # with u = A[p] and w = A[q] / pivot, the update is w_i u_j - u_i w_j
         inv = pivot.inverse()
-        w = {i: x * inv for i, x in row_q.items()}
-        near = [(i, w.get(i), row_p.get(i)) for i in row_p.keys() | w.keys()]
+        minus_inv = -inv
+        u = {j: x if p < j else -x for j, x in row_p.items()}
+        w = {i: x * (inv if q < i else minus_inv) for i, x in row_q.items()}
+        near = [(i, w.get(i), u.get(i)) for i in sorted(u.keys() | w.keys())]
         for s, (i, wi, ui) in enumerate(near):
             row_i = rows[i]
             for j, wj, uj in near[s + 1:]:
@@ -324,8 +361,7 @@ def _pfaffian_rows(rows) -> Scalar:
                 if old is not None:
                     d = old + d
                 if d:
-                    row_i[j] = d
-                    rows[j][i] = -d
+                    row_i[j] = rows[j][i] = d
                 elif old is not None:
                     del row_i[j], rows[j][i]
         for i, _, _ in near:
@@ -448,12 +484,11 @@ def _augment(root, adj, mate) -> bool:
     return False
 
 
-def _count_component(n, arcs, adj) -> Scalar:
-    """FKT count for a graph on n vertices from its Kasteleyn-oriented
-    arcs (u, v, w) and its adjacency: one Pfaffian of the weighted
-    matrix, built as sparse rows with parallel edges summed, times the
-    sign of one perfect matching's term, and zero with no elimination
-    when there is no perfect matching.
+def _count_component(g, orient) -> Scalar:
+    """FKT count for g under its Kasteleyn orientation: one Pfaffian of
+    the weighted matrix, built as half-stored rows (see _pfaffian_rows)
+    with parallel edges summed, times the sign of one perfect matching's
+    term, and zero with no elimination when there is no perfect matching.
 
     Under the orientation every perfect matching has the same term sign,
     so any one fixes it: the sign of the permutation (u1 v1 u2 v2 ...)
@@ -462,18 +497,29 @@ def _count_component(n, arcs, adj) -> Scalar:
     an even number of vertices, so any arc of the pair gives its tail.
     The matching covers every component, so a disconnected graph needs
     no more."""
-    mate = _perfect_matching(n, adj)
+    n = g.num_vertices
+    mate = _perfect_matching(n, g._adj)
     if mate is None:
         return ZERO
     order = []
-    mat = [{} for _ in range(n)]
-    for u, v, w in arcs:
+    rows = [{} for _ in range(n)]
+    for (u, v, w), o in zip(g.edges, orient):
+        if o:
+            u, v = v, u
         if mate[u] == v:
             mate[u] = mate[v] = -1  # each pair once
             order += (u, v)
-        mat[u][v] = mat[u][v] + w if v in mat[u] else w
-        mat[v][u] = mat[v][u] - w if u in mat[v] else -w
-    pf = _pfaffian_rows([{j: x for j, x in row.items() if x} for row in mat])
+        if u > v:  # A[v][u] = -w
+            u, v, w = v, u, -w
+        row_u = rows[u]
+        old = row_u.get(v)
+        if old is not None:
+            w = old + w
+        if w:
+            row_u[v] = rows[v][u] = w
+        else:
+            del row_u[v], rows[v][u]
+    pf = _pfaffian_rows(rows)
     return -pf if _odd_permutation(order) else pf
 
 
@@ -491,14 +537,10 @@ def count_pm_fkt(g: PlanarGraph) -> Scalar:
 
 def _count_and_orientation(g: PlanarGraph):
     """count_pm_fkt(g) and the Kasteleyn orientation of g, None when g is
-    disconnected.  One orientation pass serves both: its component
-    labels tell whether g is connected, and its adjacency serves the
-    matching search."""
-    orient, label, adj = _orient_components(g)
-    arcs = [(v, u, w) if o else (u, v, w)
-            for (u, v, w), o in zip(g.edges, orient)]
-    return (_count_component(g.num_vertices, arcs, adj),
-            None if any(label) else orient)
+    disconnected.  One orientation pass serves both."""
+    orient = _orient_components(g)
+    return (_count_component(g, orient),
+            None if any(g._label) else orient)
 
 
 # -- matchgate fragments ---------------------------------------------------------

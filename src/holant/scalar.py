@@ -172,6 +172,8 @@ class Scalar:
             n = (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
         elif not (b1 or b2 or b3):
             n = (a0 * b0, a1 * b0, a2 * b0, a3 * b0)
+        elif not (a1 or a3 or b1 or b3):  # two Gaussian rationals
+            n = (a0 * b0 - a2 * b2, 0, a0 * b2 + a2 * b0, 0)
         else:  # zeta^4 = -1 folds the degrees 4..6 back with a sign
             n = (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
                  a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
@@ -210,6 +212,10 @@ class Scalar:
         if not (n1 or n2 or n3):
             # d/n0, canonical as gcd(n0, d) == 1
             return _raw((self._d if n0 > 0 else -self._d, 0, 0, 0), abs(n0))
+        if not (n1 or n3):
+            # a Gaussian rational: (n0 - n2 i) d / (n0^2 + n2^2)
+            d = self._d
+            return Scalar((n0 * d, 0, -n2 * d, 0), n0 * n0 + n2 * n2)
         # product of the other three Galois conjugates; self * w is the
         # rational field norm
         w = self.galois(3) * self.galois(5) * self.galois(7)

@@ -262,8 +262,7 @@ def test_the_matching_search_settles_100x100_boards_quickly():
                    "grid is matched", 2.0):
         # no perfect matching, so no elimination
         assert count_pm_fkt(board) == ZERO
-        mate = fkt._perfect_matching(grid.num_vertices,
-                                     fkt._orient_components(grid)[2])
+        mate = fkt._perfect_matching(grid.num_vertices, grid._adj)
         edges = {frozenset((u, v)) for u, v, _ in grid.edges}
         assert all(mate[m] == v and frozenset((v, m)) in edges
                    for v, m in enumerate(mate))

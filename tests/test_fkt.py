@@ -106,6 +106,56 @@ def test_parallel_edges_allowed():
     assert count_pm_fkt(g) == Scalar.from_int(3)
 
 
+def with_parallel_copy(rng, g, w):
+    """g with a copy of weight w of one of its edges, placed at random in
+    both rotations until the embedding stays plane, and the copy's id."""
+    e = rng.randrange(len(g.edges))
+    u, v, _ = g.edges[e]
+    c = len(g.edges)
+    while True:
+        rotation = [list(r) for r in g.rotation]
+        for x in (u, v):
+            rotation[x].insert(rng.randrange(len(rotation[x]) + 1), c)
+        try:
+            return PlanarGraph(g.num_vertices, [*g.edges, (u, v, w(g.edges[e]))],
+                               rotation), e, c
+        except ValueError:
+            continue
+
+
+def test_parallel_edges_that_cancel_or_run_opposite(monkeypatch):
+    rng = random.Random(72)
+    built = []
+    rows = fkt._pfaffian_rows
+
+    def keeping(matrix):
+        built.append([dict(row) for row in matrix])
+        return rows(matrix)
+
+    monkeypatch.setattr(fkt, "_pfaffian_rows", keeping)
+    drawn = set()
+    for t in range(300):
+        g = random_planar_graph(rng, max_vertices=10, extra_edges=4,
+                                weight_pool=SMALL_POOL)
+        cancel = t % 2 == 0
+        g, e, c = with_parallel_copy(
+            rng, g, (lambda edge: -edge[2]) if cancel
+            else (lambda edge: rand_nonzero_scalar(rng)))
+        built.clear()
+        assert count_pm_fkt(g) == enumerate_pm(g)
+        if not built:
+            continue  # no perfect matching, so no matrix
+        orient = kasteleyn_orient(g)
+        u, v, _ = g.edges[e]
+        if orient[e] != orient[c]:
+            drawn.add("opposite")
+        elif cancel and sum(1 for a, b, _ in g.edges if {a, b} == {u, v}) == 2:
+            # the pair cancels as the rows are built
+            assert v not in built[0][u] and u not in built[0][v]
+            drawn.add("alike, cancelling")
+    assert drawn == {"opposite", "alike, cancelling"}
+
+
 # -- pfaffian --------------------------------------------------------------------
 
 
@@ -171,6 +221,28 @@ def test_pfaffian_reports_the_least_non_skew_position():
     m[3][2] = 0
     with pytest.raises(ValueError, match=r"skew-symmetric at \(3, 3\)"):
         pfaffian(m)
+
+
+def test_pfaffian_names_the_least_non_skew_position_of_random_matrices():
+    rng = random.Random(73)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        a = [[ZERO] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                if rng.random() < 0.6:
+                    a[i][j] = rng.choice(SMALL_POOL)
+                    a[j][i] = -a[i][j]
+        for _ in range(rng.randint(1, 3)):
+            a[rng.randrange(m)][rng.randrange(m)] = rng.choice(SMALL_POOL)
+        bad = [(i, j) for i in range(m) for j in range(i, m)
+               if a[i][j] != -a[j][i]]
+        if not bad:
+            assert pfaffian(a) * pfaffian(a) == exact_det(a)
+            continue
+        with pytest.raises(ValueError,
+                           match=r"skew-symmetric at \(%d, %d\)$" % bad[0]):
+            pfaffian(a)
 
 
 def _skew(n, entry):
@@ -326,14 +398,69 @@ def test_components_of_a_checked_graph_are_not_rechecked(monkeypatch):
                         (5, 2, 1)],
                     [(0,), (0,), (1, 4), (2, 1), (3, 2), (4, 3)])
     calls = []
+    # the constructor's face tracing, BFS forest and Euler check
+    for name in ("trace_faces", "_bfs_forest", "_euler_holds"):
+        def counting(*args, helper=getattr(fkt, name)):
+            calls.append(helper)
+            return helper(*args)
 
-    def counting(darts):
-        calls.append(darts)
-        return is_planar_embedding(darts)
-
-    monkeypatch.setattr(fkt, "is_planar_embedding", counting)
+        monkeypatch.setattr(fkt, name, counting)
     assert count_pm_fkt(g) == Scalar.from_int(2) * (I + ONE)
     assert calls == []
+    PlanarGraph(g.num_vertices, g.edges, g.rotation)
+    assert len(calls) == 3
+
+
+def union_of_rotation_systems(parts):
+    """The (n, edges, rotation) parts side by side, unchecked."""
+    n, edges, rotation = 0, [], []
+    for pn, pedges, prot in parts:
+        base = len(edges)
+        edges += [(u + n, v + n, w) for u, v, w in pedges]
+        rotation += [tuple(base + e for e in r) for r in prot]
+        n += pn
+    return n, edges, rotation
+
+
+def shuffled_rotation(rng, g):
+    """g's (n, edges, rotation), one rotation of degree three or more
+    shuffled."""
+    rotation = [list(r) for r in g.rotation]
+    wide = [r for r in rotation if len(r) >= 3]
+    if wide:
+        rng.shuffle(rng.choice(wide))
+    return g.num_vertices, g.edges, rotation
+
+
+def test_the_euler_check_by_bfs_labels_agrees_with_the_union_find_check():
+    rng = random.Random(74)
+    isolated = (1, [], [()])
+    drawn = set()
+    for t in range(600):
+        g = random_planar_graph(rng, max_vertices=9, extra_edges=5)
+        if t % 3 == 0:
+            kind, (n, edges, rotation) = \
+                "plane", (g.num_vertices, g.edges, g.rotation)
+        elif t % 3 == 1:
+            kind, (n, edges, rotation) = "shuffled", shuffled_rotation(rng, g)
+        else:
+            first = random_planar_graph(rng, max_vertices=6, extra_edges=3)
+            kind, (n, edges, rotation) = "union", union_of_rotation_systems(
+                [isolated, (first.num_vertices, first.edges, first.rotation),
+                 isolated, shuffled_rotation(rng, g), isolated])
+        darts = [tuple(2 * e if edges[e][0] == v else 2 * e + 1 for e in r)
+                 for v, r in enumerate(rotation)]
+        plane = is_planar_embedding(darts)
+        try:
+            PlanarGraph(n, edges, rotation)
+            accepted = True
+        except ValueError as err:
+            assert str(err) == "rotation system is not a plane embedding"
+            accepted = False
+        assert accepted == plane
+        drawn.add((kind, plane))
+    assert drawn == {("plane", True), ("shuffled", True), ("shuffled", False),
+                     ("union", True), ("union", False)}
 
 
 def disjoint_union(graphs, rng):
@@ -397,7 +524,7 @@ def test_one_pass_orients_every_component_clockwise_odd():
     rng = random.Random(53)
     for _ in range(60):
         g = random_union(rng, set())
-        orient, label, _ = fkt._orient_components(g)
+        orient, label = fkt._orient_components(g), g._label
         roots = component_roots(g.num_vertices,
                                 ((u, v) for u, v, _ in g.edges))
         assert len(set(label)) == len(set(roots))
@@ -447,7 +574,7 @@ def test_count_and_orientation_orients_once(monkeypatch):
     value, orientation = fkt._count_and_orientation(ladder)
     assert len(calls) == 1
     assert value == Scalar.from_int(fibonacci(301))
-    assert orientation == orient_components(ladder)[0]
+    assert orientation == orient_components(ladder)
 
 
 # -- the perfect matching that signs the count -----------------------------------
@@ -466,7 +593,7 @@ def test_perfect_matching_is_an_involution_on_edges_or_none():
             g = random_union(rng, set())
         else:
             g = random_planar_graph(rng, max_vertices=14, extra_edges=8)
-        mate = fkt._perfect_matching(g.num_vertices, fkt._orient_components(g)[2])
+        mate = fkt._perfect_matching(g.num_vertices, g._adj)
         outcomes.add(mate is None)
         assert (mate is None) == (enumerate_pm(_unit(g)) == ZERO)
         if mate is not None:

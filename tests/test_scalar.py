@@ -405,3 +405,53 @@ def test_public_constructor_keeps_its_checks():
     assert s._n == (-1, 2, -3, 0) and s._d == 2
     assert canonical(Scalar((0, 0, 0, 0), 7))._d == 1
     assert canonical(Scalar.from_int(True))._n == (1, 0, 0, 0)
+
+
+def _gaussian(rng):
+    """A random Gaussian rational a + b i: with denominators, negative
+    parts, pure imaginaries and the units among the draws."""
+    pick = rng.random()
+    if pick < 0.1:
+        return rng.choice((ONE, MINUS_ONE, I, -I))
+
+    def part():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 12)))
+
+    return Scalar.of(0 if pick < 0.25 else part(), 0, part(), 0)
+
+
+def test_gaussian_fast_paths_match_the_general_formulas():
+    rng = random.Random(91)
+    gaussians = [_gaussian(rng) for _ in range(400)]
+    drawn = set()
+    for a, b in zip(gaussians, reversed(gaussians)):
+        assert canonical(a * b).coefficients == ref_mul(ref(a), ref(b))
+        if not a:
+            continue
+        n0, _, n2, _ = a._n
+        drawn.add("pure imaginary" if not n0 else
+                  "a denominator" if a._d > 1 else
+                  "a negative part" if n0 < 0 or n2 < 0 else "other")
+        # the general inverse: the other three Galois conjugates over the
+        # rational norm, multiplied by the oracle, not by Scalar
+        w = ref_mul(ref_mul(ref(a.galois(3)), ref(a.galois(5))),
+                    ref(a.galois(7)))
+        norm = ref_mul(ref(a), w)[0]
+        assert canonical(a.inverse()).coefficients == \
+            tuple(c / norm for c in w)
+    assert drawn == {"pure imaginary", "a denominator", "a negative part",
+                     "other"}
+    for u in (ONE, MINUS_ONE, I, -I):
+        assert u.inverse() * u == ONE and u.inverse()._d == 1
+
+
+def test_gaussian_times_a_zeta_operand_takes_the_general_path():
+    rng = random.Random(92)
+    for _ in range(300):
+        a = _gaussian(rng)
+        b = Scalar.of(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                        for _ in range(4)))
+        if not (b._n[1] or b._n[3]):
+            b = b + ZETA8
+        assert canonical(a * b).coefficients == ref_mul(ref(a), ref(b))
+        assert canonical(b * a).coefficients == ref_mul(ref(b), ref(a))
