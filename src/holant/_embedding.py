@@ -1,18 +1,18 @@
-"""Face tracing for rotation systems (combinatorial embeddings).
+"""Face tracing and the plane-embedding check for rotation systems.
 
 A rotation system lists, per vertex, the cyclic counterclockwise order of
 its darts.  Darts come in twin pairs d, d^1 (the two halves of one edge).
 Faces are orbits of the successor map d -> rotation-next of twin(d); the
 orbit count plugs into Euler's formula, which is the whole planarity
-certificate used here.  No geometry anywhere.  The package's one
-union-find lives here too: it splits a rotation system into the
-components the Euler check runs on, a #CSP outside the product and
-affine families into its constraint graph's components, which the
-planner plans one by one, and the literal nodes of a product-family
-#CSP (two per variable, one per value) into the mirror classes its
-evaluator sums over.  FKT counting does not call it: the PlanarGraph
-constructor's BFS forest names the components, for its Euler check and
-for the orientation.
+certificate used here.  No geometry anywhere.  plane_embedding is the
+package's one embedding check, for PlanarGraph and for
+SignatureGrid.is_planar alike: it traces the faces, labels the
+components by one BFS forest, whose tree the FKT orientation reuses,
+and counts V - E + F on each.  The package's one union-find lives here
+too: it splits a #CSP outside the product and affine families into its
+constraint graph's components, which the planner plans one by one, and
+the literal nodes of a product-family #CSP (two per variable, one per
+value) into the mirror classes its evaluator sums over.
 """
 
 from __future__ import annotations
@@ -65,30 +65,41 @@ def component_roots(n, pairs) -> list:
     return [find(v) for v in range(n)]
 
 
-def is_planar_embedding(rotations) -> bool:
-    """Does V - E + F = 2 hold on every connected component?
+def plane_embedding(adj, ends, rotations):
+    """The faces, component labels and BFS tree of a plane embedding, or
+    None when some component breaks Euler's formula.
 
-    Components with no edges are trivially planar.  Raises on a malformed
-    rotation system (duplicate or unmatched darts).
+    `adj[v]` lists (neighbour, weight, edge index) in edge-index order,
+    `ends[e]` starts with the two endpoints of edge e, whose darts 2e and
+    2e + 1 sit at ends[e][0] and ends[e][1], and `rotations[v]` is the
+    counterclockwise dart order at v.  The faces are traced (a malformed
+    rotation system raises ValueError); one BFS over adj, restarted at
+    each unseen vertex, labels the components 0, 1, ... in order of
+    their least vertex and flags the edges of its tree; then
+    V - E + F = 2 must hold on every component.  An edgeless vertex has
+    no traced face, so it counts for two: a vertex and its one face.
     """
     faces = trace_faces(rotations)
-    vertex_of = {}
-    for v, rot in enumerate(rotations):
-        for d in rot:
-            vertex_of[d] = v
-    root = component_roots(
-        len(rotations), ((v, vertex_of[d ^ 1]) for d, v in vertex_of.items()))
-
-    verts = {}
-    edges = {}
-    fcount = {}
-    for v, rot in enumerate(rotations):
-        if rot:
-            r = root[v]
-            verts[r] = verts.get(r, 0) + 1
-            edges[r] = edges.get(r, 0) + len(rot)
+    label = [-1] * len(adj)
+    tree = [False] * len(ends)
+    euler = []
+    for s in range(len(adj)):
+        if label[s] >= 0:
+            continue
+        c = label[s] = len(euler)
+        euler.append(0)
+        queue = [s]
+        for u in queue:
+            for v, _, e in adj[u]:
+                if label[v] < 0:
+                    label[v] = c
+                    tree[e] = True
+                    queue.append(v)
+    for v, r in enumerate(rotations):
+        euler[label[v]] += 1 if r else 2
+    for end in ends:
+        euler[label[end[0]]] -= 1
     for face in faces:
-        r = root[vertex_of[face[0]]]
-        fcount[r] = fcount.get(r, 0) + 1
-    return all(verts[r] - edges[r] // 2 + fcount.get(r, 0) == 2
-               for r in verts)
+        d = face[0]
+        euler[label[ends[d >> 1][d & 1]]] += 1
+    return (faces, label, tree) if all(x == 2 for x in euler) else None

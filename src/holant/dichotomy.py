@@ -39,7 +39,7 @@ from .classes import (
     is_twisted_hadamard_matchgate,
 )
 from .fkt import _stitched_value, builtin_fragment
-from .grids import CspInstance, SignatureGrid, brute_force_csp, \
+from .grids import CspInstance, brute_force_csp, \
     brute_force_holant, csp_to_grid, eval_affine_csp, eval_product_csp
 from .scalar import ONE
 from .signatures import Signature
@@ -194,17 +194,19 @@ def _hadamard(f):
 def _fkt_route(problem, once):
     """The grid the FKT route evaluates, with one built-in fragment per vertex.
 
-    A csp goes through its grid form with every vertex rewritten by H:
-    H is symmetric and its own inverse, so H H on every edge keeps the
-    value.  That turns each =_k into (sqrt 2)^(2-k) [y even] and each
-    constraint H2 g into (sqrt 2)^k g.  A grid is taken as it is.
+    A csp goes through its grid form, and each vertex is realized after
+    a rewrite by H: H is symmetric and its own inverse, so H H on every
+    edge keeps the value.  That turns each =_k into (sqrt 2)^(2-k)
+    [y even] and each constraint H2 g into (sqrt 2)^k g.  The stitching
+    reads only the grid's edges, so the csp grid itself goes with the
+    rewritten fragments.  A grid is taken as it is.
     Through once, each distinct signature is rewritten and looked up once
     per evaluate call, the lookups in grid order up to the first vertex
     without a realization.  Returns ((grid, fragments), None), every
     fragment checked by builtin_fragment as it was built, so the route
     stitches them with no check; or (None, why the route does not apply).
     """
-    grid, where = problem, ""
+    grid, where, rewrite = problem, "", lambda sig: sig
     if isinstance(problem, CspInstance):
         try:
             grid, where = csp_to_grid(problem), " after the basis change"
@@ -212,11 +214,10 @@ def _fkt_route(problem, once):
             return None, str(e)
         if not grid.is_planar():
             return None, "instance grid is not planar as constructed"
-        grid = SignatureGrid([(once(_hadamard, v.signature), v.edges)
-                              for v in grid.vertices])
+        rewrite = functools.partial(once, _hadamard)
     frags = []
     for k, v in enumerate(grid.vertices):
-        frags.append(once(builtin_fragment, v.signature))
+        frags.append(once(builtin_fragment, rewrite(v.signature)))
         if frags[-1] is None:
             return None, f"vertex {k}: no built-in realization{where}"
     if grid.dangling:

@@ -8,7 +8,8 @@ so the usual absolute-value trick for that sign is unavailable.  Instead
 the sign is read off one perfect matching, found by Edmonds' blossom
 search (Edmonds 1965): its term in the Pfaffian has the common sign, and
 a graph without one counts zero with no elimination at all.  The
-PlanarGraph constructor walks the graph once: it traces the faces and
+PlanarGraph constructor walks the graph once, by the package's one
+embedding check (_embedding.plane_embedding): it traces the faces and
 builds one BFS forest, whose component labels serve its Euler check and
 whose tree the orientation reuses.  One pass over those faces orients
 every connected component, and the whole graph is counted at once by one
@@ -45,7 +46,7 @@ import functools
 import heapq
 from itertools import accumulate
 
-from ._embedding import trace_faces
+from ._embedding import plane_embedding
 from .classes import _pfaffian_form_violation
 from .scalar import ONE, ZERO, Scalar
 from .signatures import Signature, _coerce_scalar
@@ -61,12 +62,13 @@ class PlanarGraph:
     `edges[e] = (u, v, w)` with u != v and w a nonzero scalar; parallel
     edges are allowed.  `rotation[v]` lists incident edge indices in
     counterclockwise order; each edge index appears exactly once at each
-    endpoint.  The constructor traces the faces, builds the adjacency
-    (see _adjacency) and one BFS forest, and runs the Euler check on every
-    connected component that the forest labels, so a constructed graph
-    always carries a plane embedding.  It keeps the faces, the adjacency,
-    the component label of each vertex and the tree flag of each edge,
-    which the orientation and the matching search reuse.
+    endpoint.  The constructor builds the adjacency (see _adjacency) and
+    hands it to _embedding.plane_embedding, the package's one embedding
+    check, which traces the faces, builds one BFS forest and runs the
+    Euler check on every component the forest labels, so a constructed
+    graph always carries a plane embedding.  It keeps the faces, the
+    adjacency, the component label of each vertex and the tree flag of
+    each edge, which the orientation and the matching search reuse.
     """
 
     __slots__ = ("num_vertices", "edges", "rotation", "_faces", "_adj",
@@ -93,7 +95,7 @@ class PlanarGraph:
         if len(rot) != n:
             raise ValueError("one rotation per vertex required")
         m = len(es)
-        seen = [0] * m
+        seen = [0] * (2 * m)  # per (edge, endpoint) pair, that is per dart
         for v, r in enumerate(rot):
             for e in r:
                 if not 0 <= e < m:
@@ -101,16 +103,17 @@ class PlanarGraph:
                 a, b, _ = es[e]
                 if v != a and v != b:
                     raise ValueError(f"edge {e} does not touch vertex {v}")
-                seen[e] += 1
-        if any(c != 2 for c in seen):
-            bad = seen.index(next(c for c in seen if c != 2))
-            raise ValueError(f"edge {bad} must appear exactly once at each endpoint")
+                seen[2 * e + (v != a)] += 1
+        for d, c in enumerate(seen):
+            if c != 1:
+                raise ValueError(
+                    f"edge {d >> 1} must appear exactly once at each endpoint")
         self.rotation = rot
-        self._faces = trace_faces(self._dart_rotations())
         self._adj = _adjacency(n, es)
-        self._label, self._tree = _bfs_forest(self._adj, m)
-        if not _euler_holds(self):
+        walk = plane_embedding(self._adj, es, self._dart_rotations())
+        if walk is None:
             raise ValueError("rotation system is not a plane embedding")
+        self._faces, self._label, self._tree = walk
 
     def _dart_rotations(self):
         # edge e has darts 2e (u side) and 2e+1 (v side)
@@ -130,45 +133,6 @@ def _adjacency(n, edges):
         adj[u].append((v, w, e))
         adj[v].append((u, w, e))
     return adj
-
-
-def _bfs_forest(adj, m):
-    """The component label of each vertex and the tree flag of each of
-    the m edges, from a BFS over adj restarted at each unseen vertex; the
-    components are labelled 0, 1, ... in order of their least vertex."""
-    label = [-1] * len(adj)
-    tree = [False] * m
-    components = 0
-    for s in range(len(adj)):
-        if label[s] >= 0:
-            continue
-        label[s] = components
-        queue = [s]
-        for u in queue:
-            for v, _, e in adj[u]:
-                if label[v] < 0:
-                    label[v] = components
-                    tree[e] = True
-                    queue.append(v)
-        components += 1
-    return label, tree
-
-
-def _euler_holds(g) -> bool:
-    """Does V - E + F = 2 hold on every component of g, by its labels?
-    An isolated vertex has no traced face, so it counts for two: a
-    vertex and its one face."""
-    label = g._label
-    edges = g.edges
-    euler = [0] * (max(label, default=-1) + 1)
-    for v, r in enumerate(g.rotation):
-        euler[label[v]] += 1 if r else 2
-    for u, _, _ in edges:
-        euler[label[u]] -= 1
-    for face in g._faces:
-        d = face[0]
-        euler[label[edges[d >> 1][d & 1]]] += 1
-    return all(x == 2 for x in euler)
 
 
 def _matching_sum(adj, mask, memo):

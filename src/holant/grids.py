@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from ._embedding import component_roots, is_planar_embedding
+from ._embedding import component_roots, plane_embedding
 from ._record import Record
 from .classes import is_affine, is_product
 from .scalar import ONE, SQRT2, ZERO, Scalar, i_power, zeta_power
@@ -114,23 +114,26 @@ class SignatureGrid:
     def is_planar(self) -> bool:
         """Euler check of the rotation system, dangling edges included.
 
-        Each dangling edge gets a phantom endpoint of degree 1, then every
-        connected component must satisfy V - E + F = 2.
+        Each dangling edge gets a phantom endpoint of degree 1; then
+        _embedding.plane_embedding, the check PlanarGraph runs too, asks
+        V - E + F = 2 of every connected component.  Self-loops count
+        as edges with both darts at one vertex.
         """
-        dart = {}
-        for j, e in enumerate(self._occurrences):
-            dart[e] = 2 * j
-        rotations = []
-        used = {e: 0 for e in self._occurrences}
-        for v in self.vertices:
-            rot = []
-            for e in v.edges:
-                rot.append(dart[e] + used[e])
-                used[e] += 1
-            rotations.append(tuple(rot))
-        for e in self.dangling:
-            rotations.append((dart[e] + 1,))
-        return is_planar_embedding(rotations)
+        n = len(self.vertices)
+        phantom = {e: n + k for k, e in enumerate(self.dangling)}
+        rotations = [list(v.edges) for v in self.vertices]
+        rotations += [[e] for e in self.dangling]
+        adj = [[] for _ in rotations]
+        ends = []  # edge j has darts 2j and 2j + 1, in order of occurrence
+        for j, (e, places) in enumerate(self._occurrences.items()):
+            if len(places) == 1:
+                places = (*places, (phantom[e], 0))
+            (a, sa), (b, sb) = places
+            rotations[a][sa], rotations[b][sb] = 2 * j, 2 * j + 1
+            ends.append((a, b))
+            adj[a].append((b, None, j))
+            adj[b].append((a, None, j))
+        return plane_embedding(adj, ends, rotations) is not None
 
     def map_sides(self, left_fn, right_fn) -> SignatureGrid:
         """New grid with left/right signatures rewritten by the two maps.

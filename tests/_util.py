@@ -252,6 +252,59 @@ def strip_by_transfer_matrix(width, length):
     return sum(v)
 
 
+# -- independent oracle for plane embeddings ----------------------------------
+#
+# The union-find Euler check the package ran before its one BFS walk:
+# components by unions over twin darts, V - E + F counted per root.
+
+
+def is_planar_embedding(rotations) -> bool:
+    """Does V - E + F = 2 hold on every connected component?
+
+    Components with no edges are trivially planar.  Raises on a malformed
+    rotation system (duplicate or unmatched darts).
+    """
+    from holant._embedding import component_roots, trace_faces
+
+    faces = trace_faces(rotations)
+    vertex_of = {}
+    for v, rot in enumerate(rotations):
+        for d in rot:
+            vertex_of[d] = v
+    root = component_roots(
+        len(rotations), ((v, vertex_of[d ^ 1]) for d, v in vertex_of.items()))
+
+    verts = {}
+    edges = {}
+    fcount = {}
+    for v, rot in enumerate(rotations):
+        if rot:
+            r = root[v]
+            verts[r] = verts.get(r, 0) + 1
+            edges[r] = edges.get(r, 0) + len(rot)
+    for face in faces:
+        r = root[vertex_of[face[0]]]
+        fcount[r] = fcount.get(r, 0) + 1
+    return all(verts[r] - edges[r] // 2 + fcount.get(r, 0) == 2
+               for r in verts)
+
+
+def grid_darts(grid):
+    """The dart rotations of a SignatureGrid: the j-th edge id has darts
+    2j and 2j + 1 in order of occurrence, and each dangling edge ends at
+    a phantom vertex of its own, after the grid's vertices."""
+    dart = {e: 2 * j for j, e in enumerate(grid.edge_ids)}
+    used = dict.fromkeys(dart, 0)
+    rotations = []
+    for v in grid.vertices:
+        rot = []
+        for e in v.edges:
+            rot.append(dart[e] + used[e])
+            used[e] += 1
+        rotations.append(tuple(rot))
+    return rotations + [(dart[e] + 1,) for e in grid.dangling]
+
+
 # -- random structured inputs --------------------------------------------------
 
 

@@ -217,6 +217,21 @@ def test_eval_grid_without_realizations_goes_brute(capsys, tmp_path):
                             "message": "vertex 0: no built-in realization"}
 
 
+def test_eval_grid_with_interleaved_loops_is_not_a_plane_embedding(
+        capsys, tmp_path):
+    # two self-loops that cross at their one vertex
+    doc = put(tmp_path, "g.json", {"vertices": [
+        {"sig": [1] + [0] * 15, "edges": [0, 1, 0, 1]}]})
+    code, out = run(capsys, "eval", doc)
+    assert code == 0
+    assert out == {"input": "grid", "mode": "brute", "value": "1"}
+    code, out = run(capsys, "eval", doc, "--mode", "fkt")
+    assert code == 1
+    assert out == {"error": {
+        "kind": "domain",
+        "message": "rotation system is not a plane embedding"}}
+
+
 def test_eval_open_grid_is_a_domain_error(capsys, tmp_path):
     grid = SignatureGrid([(equality(3), (0, 1, 2))], dangling=(0, 1, 2))
     doc = put(tmp_path, "g.json", grid_to_json(grid))
@@ -337,7 +352,6 @@ def test_fkt_orients_a_connected_graph_once(capsys, tmp_path, monkeypatch):
 
 def test_fkt_traces_the_faces_of_a_grid_once(capsys, tmp_path, monkeypatch):
     import holant._embedding
-    import holant.fkt
 
     doc = put(tmp_path, "g.json", graph_to_json(grid_graph(4, 4)))
     calls = []
@@ -347,12 +361,22 @@ def test_fkt_traces_the_faces_of_a_grid_once(capsys, tmp_path, monkeypatch):
         calls.append(rotations)
         return trace(rotations)
 
-    for module in (holant._embedding, holant.fkt):
-        monkeypatch.setattr(module, "trace_faces", counting)
+    monkeypatch.setattr(holant._embedding, "trace_faces", counting)
     code, out = run(capsys, "fkt", doc)
     assert code == 0
     assert out["value"] == "36" and out["connected"] is True
     assert len(calls) == 1
+
+
+def test_fkt_names_an_edge_listed_twice_at_one_endpoint(capsys, tmp_path):
+    doc = put(tmp_path, "g.json", {"vertices": 2,
+                                   "edges": [{"u": 0, "v": 1, "w": 1}],
+                                   "rotation": [[0, 0], []]})
+    code, out = run(capsys, "fkt", doc)
+    assert code == 1
+    assert out == {"error": {
+        "kind": "domain",
+        "message": "edge 0 must appear exactly once at each endpoint"}}
 
 
 @pytest.mark.parametrize("vertices, value", [(0, "1"), (1, "0")])

@@ -8,6 +8,7 @@ from _util import (
     SMALL_POOL,
     fibonacci,
     grid_graph,
+    is_planar_embedding,
     pfaffian_by_expansion,
     rand_nonzero_scalar,
     random_fragment,
@@ -16,8 +17,7 @@ from _util import (
     random_closed_grid,
 )
 from holant import fkt
-from holant._embedding import component_roots, is_planar_embedding, \
-    trace_faces
+from holant._embedding import component_roots, trace_faces
 from holant.classes import is_matchgate, parity_of
 from holant.fkt import (
     MatchgateFragment,
@@ -90,6 +90,18 @@ def test_zero_weight_rejected():
 def test_missing_vertex_rejected():
     with pytest.raises(ValueError, match="missing"):
         PlanarGraph(2, [(0, 5, 1)], [(0,), (0,)])
+
+
+@pytest.mark.parametrize("rotation", [
+    [(0, 0), ()],       # twice at its first end, never at its second
+    [(), (0, 0)],       # twice at its second end
+    [(0, 0), (0,)],     # twice at one end, once at the other
+    [(0,), ()],         # once at its first end only
+])
+def test_an_edge_listed_twice_at_one_endpoint_is_named(rotation):
+    with pytest.raises(ValueError) as err:
+        PlanarGraph(2, [(0, 1, 1)], rotation)
+    assert str(err.value) == "edge 0 must appear exactly once at each endpoint"
 
 
 def test_crossing_rotation_rejected():
@@ -398,17 +410,17 @@ def test_components_of_a_checked_graph_are_not_rechecked(monkeypatch):
                         (5, 2, 1)],
                     [(0,), (0,), (1, 4), (2, 1), (3, 2), (4, 3)])
     calls = []
-    # the constructor's face tracing, BFS forest and Euler check
-    for name in ("trace_faces", "_bfs_forest", "_euler_holds"):
-        def counting(*args, helper=getattr(fkt, name)):
-            calls.append(helper)
-            return helper(*args)
+    walk = fkt.plane_embedding  # faces, BFS forest and Euler check
 
-        monkeypatch.setattr(fkt, name, counting)
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(fkt, "plane_embedding", counting)
     assert count_pm_fkt(g) == Scalar.from_int(2) * (I + ONE)
     assert calls == []
     PlanarGraph(g.num_vertices, g.edges, g.rotation)
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def union_of_rotation_systems(parts):

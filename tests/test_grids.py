@@ -5,6 +5,8 @@ import pytest
 from _util import (
     SMALL_POOL,
     four_block_csp,
+    grid_darts,
+    is_planar_embedding,
     lattice_csp,
     rand_affine_signature,
     rand_csp,
@@ -114,6 +116,63 @@ def test_k4_crossing_rotation():
 def test_dangling_edges_join_the_planarity_check():
     g = SignatureGrid([(equality(3), (0, 1, 2))], dangling=(0, 1, 2))
     assert g.is_planar()
+
+
+def test_interleaved_loops_at_one_vertex_are_not_planar():
+    # loops 0 and 1 cross at the vertex: one face, so V - E + F = 0
+    assert not SignatureGrid([(equality(4), (0, 1, 0, 1))]).is_planar()
+    assert SignatureGrid([(equality(4), (0, 0, 1, 1))]).is_planar()
+
+
+def random_rotation_grid(rng, drawn):
+    """A grid of one to three blocks of one to three vertices, in a
+    shuffled vertex order, with random rotations.  Each edge joins two
+    random vertices of a block (a self-loop when they coincide), dangles
+    from one, or comes as two loops interleaved at one vertex, (e, f, e,
+    f).  Adds to `drawn` the cases it covers."""
+    slots, dangling, e = [], [], 0
+    blocks = rng.randint(1, 3)
+    for _ in range(blocks):
+        block = range(len(slots), len(slots) + rng.randint(1, 3))
+        slots += [[] for _ in block]
+        for _ in range(rng.randint(0, 3)):
+            u, v, kind = rng.choice(block), rng.choice(block), rng.random()
+            if kind < 0.2:
+                slots[u].append(e)
+                dangling.append(e)
+                drawn.add("dangling edge")
+            elif kind < 0.35:
+                slots[u] += [e, e + 1, e, e + 1]
+                e += 1
+                drawn.add("interleaved loops")
+            else:
+                slots[u].append(e)
+                slots[v].append(e)
+                if u == v:
+                    drawn.add("self-loop")
+            e += 1
+    for r in slots:
+        if rng.random() < 0.5:
+            rng.shuffle(r)
+    rng.shuffle(slots)
+    if blocks > 1:
+        drawn.add("several components")
+    if not all(slots):
+        drawn.add("arity 0")
+    return SignatureGrid([(Signature([1] * (1 << len(r))), r) for r in slots],
+                         dangling=dangling)
+
+
+def test_grid_planarity_agrees_with_the_union_find_check():
+    rng = random.Random(29)
+    drawn = set()
+    for _ in range(400):
+        g = random_rotation_grid(rng, drawn)
+        plane = is_planar_embedding(grid_darts(g))
+        assert g.is_planar() == plane
+        drawn.add(plane)
+    assert drawn == {True, False, "dangling edge", "interleaved loops",
+                     "self-loop", "several components", "arity 0"}
 
 
 # -- brute-force holant --------------------------------------------------------
