@@ -13,12 +13,10 @@ class Record:
 
     The subclass's ``__init__`` passes every field, in slot order, to
     ``_init``; after that, assignment raises.  Equality (same class only),
-    hash and repr read the fields named by ``_compared``, all of them
-    unless a subclass narrows it.
+    hash and repr read every field.
     """
 
     __slots__ = ()
-    _compared: tuple | None = None
 
     def _init(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
@@ -31,7 +29,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, k) for k in self._compared or self.__slots__)
+        return tuple(getattr(self, k) for k in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -42,6 +40,5 @@ class Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}"
-                           for k in self._compared or self.__slots__)
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
         return f"{type(self).__qualname__}({fields})"

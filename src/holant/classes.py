@@ -125,9 +125,10 @@ def primitive_decomposition(f: Signature):
     block holding the lowest variable carries the overall scale.  The
     decomposition is unique up to nonzero constants between blocks.  The
     blocks come from one recursion on the first variable in O(2^n n)
-    field operations; no split is searched for.  Each block is then
-    sliced out at the least support point, and the rest is divided by
-    the value there.
+    field operations; no split is searched for.  Every block is then
+    sliced out of f at its least support point r, and each block after
+    the first is divided by f[r]: for f = g_1 (x) ... (x) g_m the slice
+    of f on block B at r is g_B times the other factors' values at r.
     """
     if f.is_zero:
         raise ValueError("the zero signature has no primitive decomposition")
@@ -137,17 +138,9 @@ def primitive_decomposition(f: Signature):
     blocks = sorted(
         tuple(p for p in range(1, n + 1) if (b >> (n - p)) & 1)
         for b in _blocks(f.values))
-    labels = tuple(range(1, n + 1))
-    out = []
-    for block in blocks[:-1]:
-        here = tuple(labels.index(p) + 1 for p in block)
-        other = tuple(p for p in range(1, f.arity + 1) if p not in here)
-        ref = min(f.support())
-        out.append((block, _reindex(f, here, ref)))
-        f = _reindex(f, other, ref) / f[ref]
-        labels = tuple(labels[p - 1] for p in other)
-    out.append((labels, f))
-    return out
+    r = min(f.support())
+    return [(blocks[0], _reindex(f, blocks[0], r))] + [
+        (block, _reindex(f, block, r) / f[r]) for block in blocks[1:]]
 
 
 def is_degenerate(f: Signature):
@@ -165,8 +158,7 @@ def is_degenerate(f: Signature):
     factors = primitive_decomposition(f)
     if any(g.arity != 1 for _, g in factors):
         return False, None
-    by_position = sorted(factors, key=lambda item: item[0][0])
-    return True, [g for _, g in by_position]
+    return True, [g for _, g in factors]
 
 
 class ProductAnalysis(Record):
@@ -213,10 +205,12 @@ def is_product(f: Signature) -> ProductAnalysis:
 class AffineSupport(Record):
     """The support of a signature as an affine subspace of GF(2)^n.
 
-    `point` is the lexicographically least support index.  `basis` spans
-    the direction space, reduced so basis[j] projects to the j-th unit
-    vector on the free positions; `free` is the lexicographically first
-    variable set that parameterizes the support.  `constraints` pins the
+    `basis` spans the direction space, reduced so basis[j] projects to
+    the j-th unit vector on the free positions; `free` is the
+    lexicographically first variable set that parameterizes the support.
+    `point` is the lexicographically least support index, so it is 0 at
+    every free position: XOR with that position's basis row would clear
+    a set bit there and change no higher one.  `constraints` pins the
     bound variables: each (mask, rhs) says the XOR of the masked bits
     equals rhs.
     """
@@ -234,26 +228,21 @@ class AffineSupport(Record):
     def contains(self, idx: int) -> bool:
         return all(parity(idx & mask) == rhs for mask, rhs in self.constraints)
 
-    def project_free(self, idx: int) -> int:
-        n, k = self.arity, len(self.free)
-        y = 0
-        for j, p in enumerate(self.free):
-            y |= ((idx >> (n - p)) & 1) << (k - 1 - j)
-        return y
-
     def full_index(self, free_bits: int) -> int:
         """The unique support point whose free coordinates are free_bits."""
-        k = len(self.free)
+        k = len(self.basis)
         idx = self.point
-        mismatch = free_bits ^ self.project_free(self.point)
-        for j in range(k):
-            if (mismatch >> (k - 1 - j)) & 1:
-                idx ^= self.basis[j]
+        for j, b in enumerate(self.basis):
+            if (free_bits >> (k - 1 - j)) & 1:
+                idx ^= b
         return idx
 
-    def points(self):
-        for y in range(1 << len(self.free)):
-            yield self.full_index(y)
+    def points(self) -> list:
+        """Every support point, in order of its free coordinates."""
+        idxs = [self.point]
+        for b in self.basis:
+            idxs = [i for i0 in idxs for i in (i0, i0 ^ b)]
+        return idxs
 
 
 def affine_support(f: Signature):
@@ -584,17 +573,14 @@ def is_twisted_hadamard_matchgate(f: Signature) -> TwistedMembership:
 class ClassReport(Record):
     __slots__ = ("parity", "degenerate", "product", "affine", "matchgate",
                  "hadamard_matchgate", "twisted_affine",
-                 "twisted_hadamard_matchgate", "details")
-    _compared = __slots__[:-1]  # details is neither compared nor shown
+                 "twisted_hadamard_matchgate")
 
     def __init__(self, parity: str, degenerate: bool, product: bool,
                  affine: bool, matchgate: bool, hadamard_matchgate: bool,
-                 twisted_affine: bool, twisted_hadamard_matchgate: bool,
-                 details: dict | None = None):
+                 twisted_affine: bool, twisted_hadamard_matchgate: bool):
         self._init(parity, degenerate, product, affine, matchgate,
                    hadamard_matchgate, twisted_affine,
-                   twisted_hadamard_matchgate,
-                   {} if details is None else details)
+                   twisted_hadamard_matchgate)
 
     def memberships(self) -> dict:
         return {
@@ -609,30 +595,14 @@ class ClassReport(Record):
 
 
 def class_report(f: Signature) -> ClassReport:
-    """Run every membership test on f and collect the analyses."""
-    degenerate, factors = is_degenerate(f)
-    product = is_product(f)
-    affine = is_affine(f)
-    matchgate = is_matchgate(f)
-    hat = is_hadamard_matchgate(f)
-    taff = is_twisted_affine(f)
-    that = is_twisted_hadamard_matchgate(f)
+    """Run every membership test on f and record which families hold it."""
     return ClassReport(
         parity=parity_of(f),
-        degenerate=degenerate,
-        product=bool(product),
-        affine=bool(affine),
-        matchgate=bool(matchgate),
-        hadamard_matchgate=bool(hat),
-        twisted_affine=bool(taff),
-        twisted_hadamard_matchgate=bool(that),
-        details={
-            "degenerate_factors": factors,
-            "product": product,
-            "affine": affine,
-            "matchgate": matchgate,
-            "hadamard_matchgate": hat,
-            "twisted_affine": taff,
-            "twisted_hadamard_matchgate": that,
-        },
+        degenerate=is_degenerate(f)[0],
+        product=bool(is_product(f)),
+        affine=bool(is_affine(f)),
+        matchgate=bool(is_matchgate(f)),
+        hadamard_matchgate=bool(is_hadamard_matchgate(f)),
+        twisted_affine=bool(is_twisted_affine(f)),
+        twisted_hadamard_matchgate=bool(is_twisted_hadamard_matchgate(f)),
     )

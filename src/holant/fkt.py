@@ -617,7 +617,11 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
 
     The signature of each distinct realization is computed once and
     compared with every vertex it serves; then _stitched_value computes
-    the Holant value.
+    the Holant value.  That check enumerates matchings, so a realization
+    with more than ENUM_CAP internal vertices is refused, the package's
+    own built-in fragments included: a 2-vertex grid of
+    apply_matrix(equality(8), H2) with builtin_fragment realizations
+    raises here, while evaluate(grid, "fkt") answers 512.
     """
     if grid.dangling:
         raise ValueError("grid has dangling edges; matchgate evaluation needs a closed grid")

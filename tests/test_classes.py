@@ -33,6 +33,7 @@ from holant.fkt import pfaffian
 from holant.scalar import I, ONE, SQRT2, ZERO, Scalar, ZETA8, i_power, zeta_power
 from holant.signatures import (
     Signature,
+    _reindex,
     crossover,
     disequality,
     equality,
@@ -107,6 +108,20 @@ def test_primitive_decomposition_finds_planted_split():
         factors = primitive_decomposition(h)
         assert reassemble(factors) == h
         assert all(len(pos) <= 2 for pos, _ in factors)
+    # arity 16: eight rank-2 binaries on (p, p + 8), interleaved
+    pairs = [(p, p + 8) for p in range(1, 9)]
+    planted = []
+    while len(planted) < len(pairs):
+        g = rand_nonzero_signature(rng, 2)
+        if g[0] * g[3] != g[1] * g[2]:
+            planted.append(g)
+    f = reassemble(list(zip(pairs, planted)))
+    factors = primitive_decomposition(f)
+    assert [pos for pos, _ in factors] == pairs
+    assert reassemble(factors) == f
+    r = min(f.support())
+    for pos, g in factors[1:]:
+        assert g == _reindex(f, pos, r) / f[r]
 
 
 def test_primitive_decomposition_rejects_zero():
@@ -309,7 +324,7 @@ def test_compress_with_chosen_free_set():
 def test_compress_round_trip_values():
     rng = random.Random(19)
     for _ in range(20):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 8)
         # plant an affine support: random subspace via random basis
         f = _random_affine_support_signature(rng, n)
         sup = affine_support(f)
@@ -318,6 +333,12 @@ def test_compress_round_trip_values():
         for y in range(1 << sup.dimension):
             assert comp[y] == f[sup.full_index(y)]
         assert sorted(sup.points()) == sorted(f.support())
+        # the least support point is 0 on the free positions, so the
+        # coset lists by doubling in the order of its free coordinates
+        assert sup.points() == [sup.full_index(y)
+                                for y in range(1 << sup.dimension)]
+        assert sup.points()[0] == sup.point == min(f.support())
+        assert all(not (sup.point >> (n - p)) & 1 for p in sup.free)
 
 
 def _random_affine_support_signature(rng, n):
