@@ -29,15 +29,15 @@ Matchgate fragments are embedded weighted graphs with ordered dangling
 stubs and a nonzero scale; their signatures are the scale times weighted
 matching counts with dangling edges forced in or out.  A fragment is
 checked as one PlanarGraph in which every stub ends at a phantom vertex
-of degree one.  Grids whose vertices all carry such realizations are
+of degree one; its entry at a stub pattern is one FKT count of that
+graph less the phantoms of the unforced stubs.  Every realization is
+checked by its Pfaffian form: the entries at 1 + C(k, 2) stub patterns
+decide all 2^k, so no route enumerates a fragment's signature, whatever
+its size or vertex numbering.  builtin_fragment builds a unit-weight
+shape from the support of a signature, once, with the signature's
+constant as scale.  Grids whose vertices all carry realizations are
 evaluated by stitching the fragments into one planar graph, whose count
 times the fragments' scales is the value.
-
-builtin_fragment builds a realization from the support of a signature:
-a unit-weight shape with the signature's constant as scale.  Each shape
-is built once and checked once, by its Pfaffian form: the matching
-counts at 1 + C(k, 2) stub patterns decide all 2^k entries, so no route
-enumerates a fragment's signature and no shape is too big to check.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .classes import _pfaffian_form_violation
 from .scalar import ONE, ZERO, Scalar
 from .signatures import Signature, _coerce_scalar
 
-#: enumerate_pm and fragment_signature refuse graphs of more vertices;
-#: no route of the planner calls either.
+#: enumerate_pm and fragment_signature, the reference oracles, refuse graphs
+#: of more vertices.  No route calls them but the zero case of _realizes.
 ENUM_CAP = 20
 
 
@@ -520,10 +520,10 @@ class MatchgateFragment:
     ids k..k+m-1 in edge-list order.  These are the edge ids of one
     PlanarGraph on n + k vertices, in which stub j runs from dangling[j]
     to a phantom vertex n + j whose rotation is (j,); the constructor
-    checks the fragment as that graph.  All stubs must lie on one face
-    with their cyclic order matching the variable order (the
-    outer-boundary condition that makes stitching into a planar grid
-    planar again).
+    checks the fragment as that graph (see _forced_graph).  All stubs
+    must lie on one face with their cyclic order matching the variable
+    order (the outer-boundary condition that makes stitching into a
+    planar grid planar again).
     """
 
     __slots__ = ("num_vertices", "edges", "rotation", "dangling", "scale")
@@ -535,19 +535,16 @@ class MatchgateFragment:
             raise ValueError("fragment has scale zero")
         self.dangling = tuple(dangling)
         k = len(self.dangling)
-        stubs = []
         for j, v in enumerate(self.dangling):
             if not 0 <= v < n:
                 raise ValueError(f"stub {j} attaches to a missing vertex {v}")
-            stubs.append((v, n + j, ONE))
-        edges = list(edges)
-        for u, v, _ in edges:
+        self.edges = tuple(edges)
+        for u, v, _ in self.edges:
             if not 0 <= u < n or not 0 <= v < n:
                 raise ValueError(f"edge ({u}, {v}) references a missing vertex")
-        self.rotation = tuple(tuple(r) for r in rotation)
-        g = PlanarGraph(n + k, stubs + edges,
-                        self.rotation + tuple((j,) for j in range(k)))
         self.num_vertices = n
+        self.rotation = tuple(tuple(r) for r in rotation)
+        g = self._forced_graph((1 << k) - 1)
         self.edges = g.edges[k:]
         if k:
             # dart 1 is the phantom end of stub 0; odd darts below 2k are
@@ -556,8 +553,7 @@ class MatchgateFragment:
             seq = [d // 2 for d in home if d % 2 and d // 2 < k]
             if len(seq) != k:
                 raise ValueError("dangling stubs do not share one face")
-            start = seq.index(0)
-            if any(seq[(start + t) % k] != t for t in range(k)):
+            if any((b - a) % k != 1 for a, b in zip(seq, seq[1:])):
                 raise ValueError(
                     f"dangling stubs out of cyclic order on the outer face: {seq}")
 
@@ -567,9 +563,23 @@ class MatchgateFragment:
 
     def internal_graph(self) -> PlanarGraph:
         """The embedded graph with the stubs stripped."""
-        k = len(self.dangling)
-        rotation = [tuple(t - k for t in r if t >= k) for r in self.rotation]
-        return PlanarGraph(self.num_vertices, self.edges, rotation)
+        return self._forced_graph(0)
+
+    def _forced_graph(self, y) -> PlanarGraph:
+        """The fragment's graph keeping stub j and its phantom exactly
+        when bit j of y is set, renumbered in order.  Deleting pendant
+        phantoms keeps it plane.  Its count times the scale is the entry
+        at y, zero when y forces a vertex twice (two phantoms, one mate)."""
+        n, k = self.num_vertices, len(self.dangling)
+        kept = [j for j in range(k) if (y >> (k - 1 - j)) & 1]
+        s = len(kept)
+        renamed = {j: t for t, j in enumerate(kept)}
+        rotation = [tuple(t - k + s if t >= k else renamed.get(t, t)
+                          for t in r if t in renamed or not 0 <= t < k)
+                    for r in self.rotation]
+        return PlanarGraph(
+            n + s, [(self.dangling[j], n + t, ONE) for t, j in enumerate(kept)]
+            + list(self.edges), rotation + [(t,) for t in range(s)])
 
     def __repr__(self):
         return (f"MatchgateFragment({self.num_vertices} vertices, "
@@ -577,58 +587,42 @@ class MatchgateFragment:
 
 
 def fragment_signature(frag: MatchgateFragment) -> Signature:
-    """The signature the fragment realizes.
+    """The signature the fragment realizes, by enumeration.
 
     Entry at y is the scale times the weighted perfect-matching count of
     the internal graph with the vertex under stub j removed exactly when
     bit j of y is set (stub j forced into the matching); a stub pattern
     consuming a vertex twice contributes zero.
     """
-    n = frag.num_vertices
+    n, k = frag.num_vertices, frag.arity
     if n > ENUM_CAP:
         raise ValueError(
             f"{n} internal vertices exceeds the fragment cap of {ENUM_CAP}")
-    return Signature(list(_stub_values(frag, range(1 << frag.arity))))
-
-
-def _stub_values(frag, patterns):
-    """The fragment's signature entries at the stub patterns, in order
-    (see fragment_signature), from one memo of matching counts."""
-    k = frag.arity
-    adj = _adjacency(frag.num_vertices, frag.edges)
-    memo = {}
-    full = (1 << frag.num_vertices) - 1
-    for y in patterns:
-        mask = full
-        dead = False
-        for j in range(k):
-            if (y >> (k - 1 - j)) & 1:
-                bit = 1 << frag.dangling[j]
-                if not mask & bit:
-                    dead = True
-                    break
-                mask &= ~bit
-        yield ZERO if dead else frag.scale * _matching_sum(adj, mask, memo)
+    adj, memo, full = _adjacency(n, frag.edges), {}, (1 << n) - 1
+    values = []
+    for y in range(1 << k):
+        forced = {frag.dangling[j] for j in range(k) if (y >> (k - 1 - j)) & 1}
+        values.append(ZERO if len(forced) < y.bit_count() else frag.scale
+                      * _matching_sum(adj, full - sum(1 << v for v in forced), memo))
+    return Signature(values)
 
 
 def evaluate_matchgate_grid(grid, realizations) -> Scalar:
     """Holant value of a closed grid whose signatures all carry matchgate
     realizations.
 
-    The signature of each distinct realization is computed once and
-    compared with every vertex it serves; then _stitched_value computes
-    the Holant value.  That check enumerates matchings, so a realization
-    with more than ENUM_CAP internal vertices is refused, the package's
-    own built-in fragments included: a 2-vertex grid of
-    apply_matrix(equality(8), H2) with builtin_fragment realizations
-    raises here, while evaluate(grid, "fkt") answers 512.
+    Each distinct (realization, signature) pair is checked once by
+    _realizes, in polynomial time; then _stitched_value computes the
+    Holant value.  A zero signature has no support point for that check,
+    so fragment_signature checks its realization, up to ENUM_CAP
+    internal vertices.
     """
     if grid.dangling:
         raise ValueError("grid has dangling edges; matchgate evaluation needs a closed grid")
     realizations = list(realizations)
     if len(realizations) != len(grid.vertices):
         raise ValueError("one realization per grid vertex required")
-    realized = {}
+    realizes = functools.cache(_realizes)
     for i, (vertex, frag) in enumerate(zip(grid.vertices, realizations)):
         if frag is None:
             raise ValueError(f"vertex {i} has no realization")
@@ -636,9 +630,7 @@ def evaluate_matchgate_grid(grid, realizations) -> Scalar:
             raise ValueError(
                 f"vertex {i}: realization arity {frag.arity} "
                 f"!= degree {vertex.degree}")
-        if frag not in realized:
-            realized[frag] = fragment_signature(frag)
-        if realized[frag] != vertex.signature:
+        if not realizes(frag, vertex.signature):
             raise ValueError(
                 f"vertex {i}: realization does not produce its signature")
     return _stitched_value(grid, realizations)
@@ -792,18 +784,26 @@ def _unit_shape(build, n, support):
 
 
 def _checked(frag, f, name):
-    """frag if it realizes the nonzero f, else ValueError.  The fragment
-    is planar with its stubs in order on one face, so its signature is a
+    """frag if it realizes the nonzero f (see _realizes), else ValueError."""
+    if _realizes(frag, f):
+        return frag
+    raise ValueError(f"built-in {name} of arity {f.arity} does not realize its signature")
+
+
+def _realizes(frag, f) -> bool:
+    """Whether frag realizes f, of its arity.  The fragment is planar
+    with its stubs in order on one face, so its signature is a
     matchgate's, and two matchgate signatures that agree at a support
     point b and at every b ^ e_i ^ e_j agree everywhere (the Pfaffian
-    form; Valiant 2008, Cai and Gorenstein 2014).  So f must have that
-    form at its least support point b, and frag must match f at those
-    1 + C(k, 2) points."""
+    form; Valiant 2008, Cai and Gorenstein 2014).  So a nonzero f must
+    have that form at its least support point b, and frag must match f
+    at those 1 + C(k, 2) points, one count_pm_fkt each, whatever its
+    numbering.  The zero f is compared with fragment_signature."""
+    if f.is_zero:
+        return fragment_signature(frag).is_zero
     b = min(f.support())
     k = f.arity
     points = [b, *(b ^ (1 << i) ^ (1 << j) for i in range(k) for j in range(i))]
-    if _pfaffian_form_violation(f, b) is not None or any(
-            got != f[y] for y, got in zip(points, _stub_values(frag, points))):
-        raise ValueError(
-            f"built-in {name} of arity {k} does not realize its signature")
-    return frag
+    return _pfaffian_form_violation(f, b) is None and all(
+        frag.scale * count_pm_fkt(frag._forced_graph(y)) == f[y]
+        for y in points)

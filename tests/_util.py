@@ -536,21 +536,25 @@ def random_bipartite_grid(rng, sig_fn=rand_signature, max_base_edges=4):
 
 
 def random_fragment(rng, max_vertices=6, extra_edges=3, max_stubs=4):
-    """Random matchgate fragment: a plane graph with stubs along one face.
-
-    Stub corners follow the chosen face's traversal order, which is what
-    the fragment's outer-boundary check requires.
-    """
+    """Random matchgate fragment: a plane graph with stubs along one face
+    (see fragment_on_face)."""
     from holant._embedding import trace_faces
-    from holant.fkt import MatchgateFragment
 
     g = random_planar_graph(rng, max_vertices, extra_edges,
                             weight_pool=SMALL_POOL)
-    darts = [tuple(2 * e if g.edges[e][0] == v else 2 * e + 1 for e in r)
-             for v, r in enumerate(g.rotation)]
-    face = rng.choice(trace_faces(darts))
+    face = rng.choice(trace_faces(g._dart_rotations()))
     k = rng.randint(1, min(max_stubs, len(face)))
-    corners = sorted(rng.sample(range(len(face)), k))
+    return fragment_on_face(g, face, sorted(rng.sample(range(len(face)), k)))
+
+
+def fragment_on_face(g, face, corners):
+    """The fragment of the plane graph g with stub j at the corner
+    face[corners[j]], for corners in increasing order: the stubs follow
+    the face's traversal order, which is what the fragment's
+    outer-boundary check requires."""
+    from holant.fkt import MatchgateFragment
+
+    k = len(corners)
     dangling = []
     inserts = []  # (vertex, rotation slot, stub id)
     for j, c in enumerate(corners):

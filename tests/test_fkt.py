@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 import time
@@ -7,6 +8,7 @@ import pytest
 from _util import (
     SMALL_POOL,
     fibonacci,
+    fragment_on_face,
     grid_graph,
     is_planar_embedding,
     pfaffian_by_expansion,
@@ -1124,6 +1126,74 @@ def test_unit_shapes_have_unit_weights_and_pinned_sizes(family):
             fkt._unit_shape(build, k, support)
 
 
+def _shuffled(frag, rng):
+    """frag with its vertices renumbered by a seeded permutation."""
+    perm = list(range(frag.num_vertices))
+    rng.shuffle(perm)
+    rotation = [None] * frag.num_vertices
+    for v, r in enumerate(frag.rotation):
+        rotation[perm[v]] = r
+    return MatchgateFragment(
+        frag.num_vertices, [(perm[u], perm[v], w) for u, v, w in frag.edges],
+        rotation, [perm[v] for v in frag.dangling], frag.scale)
+
+
+def test_the_check_holds_whatever_the_vertex_numbering():
+    rng = random.Random(62)
+    cases = []
+    while len(cases) < 20:
+        frag = _shuffled(random_fragment(rng, max_vertices=12, extra_edges=8,
+                                         max_stubs=5), rng)
+        f = fragment_signature(frag)
+        if not f.is_zero:
+            cases.append((frag, f))
+    # a weighted 6x6 grid in shuffled numbering, four stubs in order on
+    # its outer face; past ENUM_CAP its entries come from count_pm_fkt
+    g = grid_graph(6, 6, "shuffled", rng,
+                   weight=lambda: rng.choice(SMALL_POOL[1:]))
+    outer = max(trace_faces(g._dart_rotations()), key=len)
+    frag = fragment_on_face(g, outer, sorted(rng.sample(range(len(outer)), 4)))
+    assert frag.num_vertices > fkt.ENUM_CAP
+    cases.append((frag, Signature(_entries_by_fkt(frag, range(16)))))
+    for frag, f in cases:
+        assert fkt._checked(frag, f, "shuffled") is frag
+        y = rng.randrange(1 << f.arity)
+        changed = Signature([(2 * x if x else ONE) if z == y else x
+                             for z, x in enumerate(f.values)])
+        # the changed f, and the fragment rescaled, whose signature
+        # keeps its Pfaffian form and so fails at the counted points
+        for wrong_frag, wrong_f in ((frag, changed), (_rescaled(frag, 2), f)):
+            with pytest.raises(ValueError, match="^built-in shuffled "):
+                fkt._checked(wrong_frag, wrong_f, "shuffled")
+
+
+def test_no_route_enumerates_a_nonzero_signature(monkeypatch):
+    rng = random.Random(63)
+    grids = [_user_fragment_grid(rng) for _ in range(10)]
+    for _ in range(10):
+        grid = random_closed_grid(rng, realizable_signature)
+        grids.append((grid, [builtin_fragment(v.signature)
+                             for v in grid.vertices]))
+    want = [brute_force_holant(grid) for grid, _ in grids]
+
+    def refuse(*args):
+        raise AssertionError("matching enumeration reached")
+
+    monkeypatch.setattr(fkt, "_matching_sum", refuse)
+    # an empty cache, as in a fresh process
+    monkeypatch.setattr(fkt, "_unit_shape",
+                        functools.cache(fkt._unit_shape.__wrapped__))
+    for family, (support_of, _, _) in _SHAPES.items():
+        for k in _arities(family):
+            f = Signature([2 if support_of(k, y) else 0
+                           for y in range(1 << k)])
+            assert builtin_fragment(f) is not None, (family, k)
+    for k in (8, 16):
+        assert _hadamard_equality_pair(k) == Scalar.from_int(1 << (k + 1))
+    assert [evaluate_matchgate_grid(grid, frags)
+            for grid, frags in grids] == want
+
+
 # -- grid evaluation -------------------------------------------------------------
 
 
@@ -1227,6 +1297,21 @@ def test_two_closed_grids_side_by_side_multiply():
         assert evaluate_matchgate_grid(union, frags + right_frags) == want
         nonzero += bool(want)
     assert nonzero >= 5
+
+
+def _hadamard_equality_pair(k):
+    """evaluate_matchgate_grid on two vertices of H2 =_k = 2 [y even]
+    joined by k edges, with their built-in realizations: 2^(k+1)."""
+    f = apply_matrix(equality(k), H2)
+    grid = SignatureGrid([(f, tuple(range(k))), (f, tuple(range(k))[::-1])])
+    return evaluate_matchgate_grid(
+        grid, [builtin_fragment(v.signature) for v in grid.vertices])
+
+
+def test_grid_evaluation_checks_built_in_fragments_past_enum_cap():
+    # the even chains of arity 8 and 16 have 24 and 56 vertices
+    for k in (8, 16):
+        assert _hadamard_equality_pair(k) == Scalar.from_int(1 << (k + 1))
 
 
 def test_grid_evaluation_requires_closed_grid():
